@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .balls import (
@@ -45,33 +44,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed options for one invocation."""
-
-    command: str
-    input: Path | None = None
-    output: Path | None = None
-    fmt: str | None = None
-    n: int = 0
-    alpha: float = 1.0
-    diag: float = 2.0
-    diagonal_band: int = 3
-    lambda0: float | None = None
-    variant: str = "script"
-    lambda_path: Path | None = None
-    weights_output: Path | None = None
-    eig_output: Path | None = None
-    t: float = 0.005
-    center: int = 0
-    metric: str = "F"
-    radii: tuple = ()
-    dot: Path | None = None
-    radius_f: float | None = None
-    radius_d: float | None = None
-    radius_e: float | None = None
 
 
 def _info(message: str) -> None:
@@ -158,96 +130,88 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if name != "command" and hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
-def _sequence_for(cfg: RunConfig, kernel):
-    if cfg.lambda_path is not None:
-        return lambda_from_json(Path(cfg.lambda_path).read_text())
+def _sequence_for(args: argparse.Namespace, kernel):
+    if args.lambda_path is not None:
+        return lambda_from_json(args.lambda_path.read_text())
     return compute_lambda_sequence(
-        kernel, diagonal_band=cfg.diagonal_band, lambda0_override=cfg.lambda0
+        kernel, diagonal_band=args.diagonal_band, lambda0_override=args.lambda0
     )
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    kernel = newtonian_kernel(cfg.n, cfg.alpha, cfg.diag)
-    save_affinity(kernel, cfg.output, cfg.fmt)
-    _info(f"wrote {kernel.n}x{kernel.n} kernel to {cfg.output}")
+def cmd_gen(args: argparse.Namespace) -> int:
+    kernel = newtonian_kernel(args.n, args.alpha, args.diag)
+    save_affinity(kernel, args.output, args.fmt)
+    _info(f"wrote {kernel.n}x{kernel.n} kernel to {args.output}")
     return EXIT_OK
 
 
-def cmd_lambda(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
-    seq = _sequence_for(cfg, kernel)
-    Path(cfg.output).write_text(lambda_to_json(seq))
-    _info(f"{seq.k + 1} thresholds in {seq.iterations} rounds -> {cfg.output}")
+def cmd_lambda(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
+    seq = _sequence_for(args, kernel)
+    args.output.write_text(lambda_to_json(seq))
+    _info(f"{seq.k + 1} thresholds in {seq.iterations} rounds -> {args.output}")
     return EXIT_OK
 
 
-def cmd_delta(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
-    seq = _sequence_for(cfg, kernel)
-    dm = delta_matrix(kernel, seq, cfg.variant)
-    write_matrix_csv(dm.values, cfg.output)
-    _info(f"{cfg.variant} quasi-metric for n={kernel.n} -> {cfg.output}")
+def cmd_delta(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
+    seq = _sequence_for(args, kernel)
+    dm = delta_matrix(kernel, seq, args.variant)
+    write_matrix_csv(dm.values, args.output)
+    _info(f"{args.variant} quasi-metric for n={kernel.n} -> {args.output}")
     return EXIT_OK
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
-    seq = _sequence_for(cfg, kernel)
+def cmd_chain(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
+    seq = _sequence_for(args, kernel)
     pm = chain_metric(kernel, seq)
-    write_matrix_csv(pm.values, cfg.output)
-    if cfg.weights_output is not None:
-        write_matrix_csv(pm.chain_weights, cfg.weights_output)
-        _info(f"one-step weights -> {cfg.weights_output}")
-    _info(f"chain metric for n={kernel.n} -> {cfg.output}")
+    write_matrix_csv(pm.values, args.output)
+    if args.weights_output is not None:
+        write_matrix_csv(pm.chain_weights, args.weights_output)
+        _info(f"one-step weights -> {args.weights_output}")
+    _info(f"chain metric for n={kernel.n} -> {args.output}")
     return EXIT_OK
 
 
-def cmd_diffusion(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
+def cmd_diffusion(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
     decomp = spectral_decomposition(kernel)
-    if cfg.eig_output is not None:
-        Path(cfg.eig_output).write_text(decomposition_to_json(decomp))
-        _info(f"eigendecomposition -> {cfg.eig_output}")
-    dt = diffusion_distance_matrix(decomp, cfg.t)
-    write_matrix_csv(dt, cfg.output)
-    _info(f"diffusion distances at t={cfg.t} -> {cfg.output}")
+    if args.eig_output is not None:
+        args.eig_output.write_text(decomposition_to_json(decomp))
+        _info(f"eigendecomposition -> {args.eig_output}")
+    dt = diffusion_distance_matrix(decomp, args.t)
+    write_matrix_csv(dt, args.output)
+    _info(f"diffusion distances at t={args.t} -> {args.output}")
     return EXIT_OK
 
 
-def cmd_balls(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
-    if cfg.metric == "F":
-        if cfg.radii:
+def cmd_balls(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
+    if args.metric == "F":
+        if args.radii:
             raise InvalidParameterError("metric F derives its bands from the thresholds; drop --radii")
-        seq = _sequence_for(cfg, kernel)
-        bands = affinity_bands(kernel, seq, cfg.center)
+        seq = _sequence_for(args, kernel)
+        bands = affinity_bands(kernel, seq, args.center)
     else:
-        if not cfg.radii:
-            raise InvalidParameterError(f"metric {cfg.metric} needs --radii")
-        if cfg.metric == "D":
-            row = diffusion_distance_matrix(spectral_decomposition(kernel), cfg.t)[cfg.center]
+        if not args.radii:
+            raise InvalidParameterError(f"metric {args.metric} needs --radii")
+        if args.metric == "D":
+            row = diffusion_distance_matrix(spectral_decomposition(kernel), args.t)[args.center]
         else:
-            row = euclidean_distances(kernel.n, cfg.center)
-        bands = annuli(row, cfg.radii, cfg.center)
-    Path(cfg.output).write_text(bands_to_json(bands))
-    if cfg.dot is not None:
-        Path(cfg.dot).write_text(bands_to_dot(kernel, bands))
-        _info(f"DOT coloring -> {cfg.dot}")
+            row = euclidean_distances(kernel.n, args.center)
+        bands = annuli(row, args.radii, args.center)
+    args.output.write_text(bands_to_json(bands))
+    if args.dot is not None:
+        args.dot.write_text(bands_to_dot(kernel, bands))
+        _info(f"DOT coloring -> {args.dot}")
     sizes = [sum(1 for b in bands.band_of if b == band) for band in range(len(bands.radii) + 1)]
-    _info(f"metric {cfg.metric} bands around {bands.center}: sizes {sizes} -> {cfg.output}")
+    _info(f"metric {args.metric} bands around {bands.center}: sizes {sizes} -> {args.output}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
+def cmd_verify(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
     report = validate_kernel(kernel)
     checks = {}
     flags = report.failed_flags()
@@ -260,7 +224,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if flags:
         _info(f"FAIL kernel flags: {', '.join(flags)}")
     else:
-        seq = _sequence_for(cfg, kernel)
+        seq = _sequence_for(args, kernel)
         levels = level_relations(kernel, seq)
         checks["level_nesting"] = all(
             is_subset(power3(levels[i]), levels[i - 1]) for i in range(1, seq.k + 1)
@@ -285,8 +249,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     passed = all(checks.values())
     payload["checks"] = checks
     payload["passed"] = passed
-    if cfg.output is not None:
-        Path(cfg.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if args.output is not None:
+        args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -297,18 +261,18 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    kernel = load_affinity(cfg.input, cfg.fmt)
+def cmd_compare(args: argparse.Namespace) -> int:
+    kernel = load_affinity(args.input, args.fmt)
     balls = {}
-    if cfg.radius_f is not None:
-        seq = _sequence_for(cfg, kernel)
-        balls["F"] = delta_ball(kernel, seq, cfg.center, cfg.radius_f)
-    if cfg.radius_d is not None:
-        row = diffusion_distance_matrix(spectral_decomposition(kernel), cfg.t)[cfg.center]
-        balls["D"] = distance_ball(row, cfg.center, cfg.radius_d, "D")
-    if cfg.radius_e is not None:
-        row = euclidean_distances(kernel.n, cfg.center)
-        balls["E"] = distance_ball(row, cfg.center, cfg.radius_e, "E")
+    if args.radius_f is not None:
+        seq = _sequence_for(args, kernel)
+        balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
+    if args.radius_d is not None:
+        row = diffusion_distance_matrix(spectral_decomposition(kernel), args.t)[args.center]
+        balls["D"] = distance_ball(row, args.center, args.radius_d, "D")
+    if args.radius_e is not None:
+        row = euclidean_distances(kernel.n, args.center)
+        balls["E"] = distance_ball(row, args.center, args.radius_e, "E")
     if len(balls) < 2:
         raise InvalidParameterError("compare needs radii for at least two of F, D, E")
     overlaps = {}
@@ -317,12 +281,12 @@ def cmd_compare(cfg: RunConfig) -> int:
         for second in names[i + 1:]:
             overlaps[f"{first}|{second}"] = jaccard(balls[first].members, balls[second].members)
     payload = {
-        "center": cfg.center,
+        "center": args.center,
         "jaccard": overlaps,
         "members": {name: sorted(ball.members) for name, ball in balls.items()},
         "radii": {name: balls[name].radius for name in names},
     }
-    Path(cfg.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for pair, value in overlaps.items():
         _info(f"jaccard {pair} = {value:.4f}")
     return EXIT_OK
@@ -343,9 +307,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except NumericError as exc:
         _info(f"numeric error: {exc}")
         return EXIT_NUMERIC

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,26 +54,15 @@ def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
     return kernel.values * np.outer(inv_sqrt, inv_sqrt) - np.eye(kernel.n)
 
 
-def eig_symmetric(
-    matrix: np.ndarray,
-    tol: float = 1e-10,
-    max_sweeps: int = 100,
-    convention: str = "raw",
-) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic plane rotations.
+def eig_symmetric(matrix: np.ndarray, convention: str = "raw") -> SpectralDecomposition:
+    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
-    Sweeps annihilate each off-diagonal entry in turn; the rotation
-    parameter is computed in the numerically safe form so no overflow
-    occurs when an entry is tiny relative to the diagonal gap.
+    A LAPACK convergence failure is raised as NumericError.
 
     Parameters
     ----------
     matrix : ndarray
         Real symmetric matrix; asymmetry beyond 1e-12 is rejected.
-    tol : float
-        Convergence threshold on the off-diagonal Frobenius mass.
-    max_sweeps : int
-        Sweep budget; exceeding it raises NumericError.
     convention : str
         Tag recorded on the decomposition, not used numerically.
 
@@ -88,63 +76,20 @@ def eig_symmetric(
         raise DomainError(f"matrix must be square, got shape {a.shape}")
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12:
         raise DomainError("matrix is not symmetric within 1e-12")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    vectors = np.eye(n)
-
-    def off_mass(m):
-        return math.sqrt(2.0 * float(np.sum(np.triu(m, 1) ** 2)))
-
-    sweeps = 0
-    while off_mass(a) > tol:
-        if sweeps >= max_sweeps:
-            raise NumericError(
-                f"off-diagonal mass {off_mass(a):.3e} after {max_sweeps} sweeps (tol {tol:.1e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p, vec_q = vectors[:, p].copy(), vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-        sweeps += 1
-
-    order = np.argsort(np.diagonal(a), kind="stable")
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
     return SpectralDecomposition(
-        eigenvalues=_freeze(np.diagonal(a)[order]),
-        eigenvectors=_freeze(vectors[:, order]),
+        eigenvalues=_freeze(eigenvalues),
+        eigenvectors=_freeze(eigenvectors),
         convention=convention,
     )
 
 
-def spectral_decomposition(
-    kernel: AffinityMatrix, tol: float = 1e-10, max_sweeps: int = 100
-) -> SpectralDecomposition:
+def spectral_decomposition(kernel: AffinityMatrix) -> SpectralDecomposition:
     """Eigendecomposition of the normalized generator of a kernel."""
-    return eig_symmetric(
-        graph_laplacian(kernel), tol=tol, max_sweeps=max_sweeps,
-        convention="symmetric_normalized",
-    )
+    return eig_symmetric(graph_laplacian(kernel), convention="symmetric_normalized")
 
 
 def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.ndarray:
@@ -153,13 +98,23 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
     Coordinates are the eigenvector rows scaled by exp(t * eigenvalue);
     the distance is plain Euclidean between scaled rows, so it shrinks
     monotonically as t grows whenever the spectrum is nonpositive.
+
+    Squared distances come from the Gram identity
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, clamped at zero, in O(n^2) memory.
+    Its error in d^2 is round-off in |a|^2, so the error relative to d
+    grows as d -> 0: on newtonian_kernel(60) at t = 100, where some true
+    distances are 1e-12, it measured 2.6e-9 absolute.
     """
     if t <= 0:
         raise InvalidParameterError(f"t must be positive, got {t!r}")
     scales = np.exp(float(t) * decomp.eigenvalues)
     coords = decomp.eigenvectors * scales[None, :]
-    diff = coords[:, None, :] - coords[None, :, :]
-    out = np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))
+    gram = coords @ coords.T
+    norms = np.diagonal(gram)
+    squared = norms[:, None] + norms[None, :] - 2.0 * gram
+    # BLAS does not promise a bit-symmetric product; the output must be.
+    squared = (squared + squared.T) / 2.0
+    out = np.sqrt(np.maximum(squared, 0.0))
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -33,7 +33,7 @@ from .relations import BinaryRelation, level_set, power3
 
 INVERSE_VARIANTS = ("script", "upper", "lower")
 
-# Equivalence band for d against delta: delta / 4 < d <= 2 * delta.
+# Equivalence band for d against delta: delta / 8 <= d <= 2 * delta.
 EQUIVALENCE_LOWER = 0.125
 EQUIVALENCE_UPPER = 2.0
 
@@ -311,8 +311,8 @@ def lambda_from_json(text: str) -> LambdaSequence:
         raise MatrixFormatError("threshold values must be a non-empty flat list")
     if not (np.diff(values) > 0).all():
         raise MatrixFormatError("threshold values must be strictly ascending")
-    if values[0] <= 0:
-        raise MatrixFormatError("threshold values must be positive")
+    if values[0] < 0:
+        raise MatrixFormatError("threshold values must be nonnegative")
     iterations = int(payload.get("iterations", 0))
     return LambdaSequence(
         values=_freeze(values), lambda0_raw=float(values[-1]), iterations=iterations

@@ -1,8 +1,9 @@
 """Shared fixtures: the random kernel corpus and independent oracles.
 
 The oracles deliberately avoid the library's own code paths: composition
-runs as a plain triple loop over python lists, and shortest paths in the
-small cases are exhaustive over simple paths.
+runs as a plain triple loop over python lists, shortest paths in the
+small cases are exhaustive over simple paths, and diffusion distances
+difference every pair of coordinate rows explicitly.
 """
 
 import itertools
@@ -86,3 +87,10 @@ def exhaustive_chain_metric(weights):
                     if total < best[i, j]:
                         best[i, j] = total
     return best
+
+
+def tensor_diffusion_distances(decomp, t):
+    """Diffusion distances from the n x n x n tensor of row differences; only for small n."""
+    coords = decomp.eigenvectors * np.exp(t * decomp.eigenvalues)[None, :]
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))

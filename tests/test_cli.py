@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 import graphmetrize.cli as cli
-from graphmetrize import NumericError, load_affinity, newtonian_kernel, read_matrix_csv
+from graphmetrize import (
+    NumericError,
+    decomposition_from_json,
+    graph_laplacian,
+    load_affinity,
+    newtonian_kernel,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 from graphmetrize.cli import jaccard, main
+
+from conftest import tensor_diffusion_distances
 
 
 def run(*args):
@@ -80,6 +90,20 @@ def test_chain_reuses_lambda_file_and_writes_weights(k60_csv, tmp_path):
     assert (d <= f).all()
 
 
+def test_lambda_round_trip_with_zero_affinities(tmp_path):
+    values = newtonian_kernel(10, 1.0, 2.0).values.copy()
+    values[0, 9] = values[9, 0] = 0.0
+    kernel = tmp_path / "k.csv"
+    write_matrix_csv(values, kernel)
+    lam = tmp_path / "l.json"
+    assert run("lambda", "-i", kernel, "-o", lam) == 0
+    assert json.loads(lam.read_text())["values"][0] == 0.0
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert run("delta", "-i", kernel, "-o", fresh) == 0
+    assert run("delta", "-i", kernel, "--lambda", lam, "-o", reused) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
 def test_diffusion_eig_output(k60_csv, tmp_path):
     out = tmp_path / "dt.csv"
     eig = tmp_path / "eig.json"
@@ -87,6 +111,11 @@ def test_diffusion_eig_output(k60_csv, tmp_path):
     payload = json.loads(eig.read_text())
     assert len(payload["eigenvalues"]) == 60
     assert max(payload["eigenvalues"]) <= 1e-10
+    decomp = decomposition_from_json(eig.read_text())
+    rebuilt = decomp.eigenvectors @ np.diag(decomp.eigenvalues) @ decomp.eigenvectors.T
+    assert np.abs(rebuilt - graph_laplacian(load_affinity(k60_csv))).max() <= 1e-8
+    oracle = tensor_diffusion_distances(decomp, 0.005)
+    assert np.abs(read_matrix_csv(out) - oracle).max() <= 1e-12
 
 
 def test_balls_f_matches_figure_bands(k60_csv, tmp_path):

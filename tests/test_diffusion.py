@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from graphmetrize import (
     graph_laplacian,
     newtonian_kernel,
     spectral_decomposition,
+    write_matrix_csv,
 )
+from graphmetrize.cli import main
 
-from conftest import random_kernel
+from conftest import random_kernel, tensor_diffusion_distances
 
 
 def test_laplacian_all_ones_kernel():
@@ -92,12 +95,16 @@ def test_eig_agrees_with_library_solver():
     assert np.allclose(decomp.eigenvalues, expected, rtol=0, atol=1e-9)
 
 
-def test_eig_sweep_budget_raises():
-    rng = np.random.default_rng(2)
-    sym = rng.standard_normal((12, 12))
-    sym = (sym + sym.T) / 2.0
+def test_eig_lapack_failure_is_numeric_error(tmp_path, monkeypatch):
+    def explode(matrix):
+        raise np.linalg.LinAlgError("synthetic non-convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", explode)
     with pytest.raises(NumericError):
-        eig_symmetric(sym, max_sweeps=1)
+        eig_symmetric(np.eye(3))
+    kernel = tmp_path / "k.csv"
+    write_matrix_csv(newtonian_kernel(8, 1.0, 2.0).values, kernel)
+    assert main(["diffusion", "-i", str(kernel), "-o", str(tmp_path / "dt.csv")]) == 3
 
 
 def test_diffusion_2x2_analytic_case():
@@ -123,6 +130,26 @@ def test_diffusion_symmetric_zero_diagonal_triangle():
     for mid in range(kernel.n):
         slack = dt - (dt[:, mid][:, None] + dt[mid, :][None, :])
         assert slack.max() <= 1e-12
+
+
+def test_diffusion_matches_tensor_oracle(corpus):
+    for kernel in [newtonian_kernel(60, 1.0, 2.0), *corpus]:
+        decomp = spectral_decomposition(kernel)
+        for t in (0.005, 0.5, 5.0):
+            dt = diffusion_distance_matrix(decomp, t)
+            assert np.abs(dt - tensor_diffusion_distances(decomp, t)).max() <= 1e-12
+
+
+def test_diffusion_distance_memory_is_quadratic():
+    n = 300
+    decomp = spectral_decomposition(newtonian_kernel(n, 1.0, 2.0))
+    tracemalloc.start()
+    try:
+        diffusion_distance_matrix(decomp, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * n * 8
 
 
 def test_diffusion_monotone_in_time():

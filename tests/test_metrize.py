@@ -294,3 +294,5 @@ def test_lambda_json_rejects_malformed():
         lambda_from_json('{"values": [1.0, 0.5], "iterations": 1}')
     with pytest.raises(MatrixFormatError):
         lambda_from_json('{"values": [], "iterations": 0}')
+    with pytest.raises(MatrixFormatError):
+        lambda_from_json('{"values": [-0.5, 1.0], "iterations": 1}')
