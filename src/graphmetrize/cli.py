@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), help="kernel format, default from suffix")
 
     def add_sequence_options(p):
-        p.add_argument("--lambda", dest="lambda_path", type=Path, help="threshold JSON to reuse instead of recomputing")
+        p.add_argument("--lambda", dest="lambda_path", type=Path,
+                       help="threshold JSON of this same kernel to reuse instead of recomputing")
         p.add_argument("--diagonal-band", type=int, default=3, choices=(3, 5), help="band width seeding the sweep")
         p.add_argument("--lambda0", type=float, default=None, help="override for the seed threshold")
 
@@ -106,7 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("balls", help="band assignment around a center, optionally as DOT")
     add_kernel_input(p)
     add_sequence_options(p)
-    p.add_argument("--metric", choices=("F", "D", "E"), default="F")
+    p.add_argument(
+        "--metric", choices=("F", "D", "E"), default="F",
+        help="F: threshold bands, D: diffusion distance, E: |i - j| on the path 0..n-1 whatever the kernel",
+    )
     p.add_argument("--center", required=True, type=int)
     p.add_argument("--radii", type=_parse_radii, default=(), help="ascending radii for metrics D and E")
     p.add_argument("--t", type=float, default=0.005, help="diffusion time for metric D")
@@ -124,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", required=True, type=int)
     p.add_argument("--radius-f", type=float, help="quasi-metric ball radius")
     p.add_argument("--radius-d", type=float, help="diffusion ball radius")
-    p.add_argument("--radius-e", type=float, help="euclidean ball radius")
+    p.add_argument("--radius-e", type=float, help="euclidean ball radius; E is |i - j| on the path 0..n-1 whatever the kernel")
     p.add_argument("--t", type=float, default=0.005, help="diffusion time")
     p.add_argument("-o", "--output", required=True, type=Path)
     return parser
@@ -132,7 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sequence_for(args: argparse.Namespace, kernel):
     if args.lambda_path is not None:
-        return lambda_from_json(args.lambda_path.read_text())
+        seq = lambda_from_json(args.lambda_path.read_text())
+        # Harvested thresholds are kernel entries; only the seed may be a free --lambda0.
+        if not all((kernel.values == t).any() for t in seq.values[:-1]):
+            raise InvalidParameterError(f"{args.lambda_path}: thresholds are not entries of this kernel")
+        band_min = float(min(kernel.values.diagonal().min(), kernel.values.diagonal(1).min()))
+        if seq.values[-1] > band_min:
+            raise InvalidParameterError(
+                f"{args.lambda_path}: top threshold {seq.values[-1]!r} exceeds the band minimum {band_min!r}"
+            )
+        return seq
     return compute_lambda_sequence(
         kernel, diagonal_band=args.diagonal_band, lambda0_override=args.lambda0
     )

@@ -16,6 +16,7 @@ factors of delta and sandwiches the level sets between its dyadic balls.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -206,20 +207,18 @@ def delta_matrix(
 def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMatrix:
     """Shortest-path pseudo-metric over one-step dyadic weights.
 
-    A pair whose deepest containing level set is m gets one-step weight
-    2 ** -(m + 1); d is the exact shortest path over those weights.  The
-    half step is what makes every level set m sit strictly inside the
-    radius 2 ** -m ball of d.  All weights and path sums are dyadic, so
-    the relaxation below is exact, not approximate.
+    The one-step weights are the script delta: a pair whose deepest
+    containing level set is m gets weight 2 ** -(m + 1), and d is the
+    exact shortest path over those weights.  The half step is what makes
+    every level set m sit strictly inside the radius 2 ** -m ball of d.
+    All weights and path sums are dyadic, so the relaxation below is
+    exact, not approximate.
     """
-    depth = np.searchsorted(seq.values, kernel.values.ravel(), side="right")
-    weights = np.power(2.0, -depth.astype(np.float64)).reshape(kernel.values.shape)
-    np.fill_diagonal(weights, 0.0)
-
+    weights = delta_matrix(kernel, seq, "script").values
     dist = weights.copy()
     for mid in range(kernel.n):
         np.minimum(dist, dist[:, mid][:, None] + dist[mid, :][None, :], out=dist)
-    return PseudoMetricMatrix(n=kernel.n, values=_freeze(dist), chain_weights=_freeze(weights))
+    return PseudoMetricMatrix(n=kernel.n, values=_freeze(dist), chain_weights=weights)
 
 
 def verify_sandwich(
@@ -275,22 +274,44 @@ def verify_equivalence(
 
 
 def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
-    """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) everywhere.
+    """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) over distinct x, y, z.
 
-    Needs at least 3 vertices; the sweep runs one middle vertex at a
-    time so memory stays quadratic.
+    Needs at least 3 vertices; triples whose hops sum to zero are skipped.
+    For distinct off-diagonal values v[p], v[q], the float32 product of
+    the 0/1 indicators {delta <= v[p]} and {delta <= v[q]} (diagonal
+    excluded) marks the pairs (x, z) that two such hops join; the largest
+    delta(x, z) among them over v[p] + v[q] bounds C from below, and at
+    the worst triple's hops it is C, by the same float division.  Pairs
+    go by ascending v[p] + v[q] and stop once max(v) over the sum cannot
+    win.  Counts are exact for n < 2**24, and two n x n indicators are
+    alive at a time.  The cost is up to m**2 products for m distinct
+    values: a few dozen for delta_matrix output (at most k + 2 values),
+    but slow for a general matrix with m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
     vals = delta.values
+    distinct = np.unique(vals[~np.eye(delta.n, dtype=bool)])
+    level = np.searchsorted(distinct, vals)
+    np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
+    # For symmetric delta, pair (q, p) reaches the transpose of what (p, q) reaches: visit q >= p only.
+    symmetric = np.array_equal(vals, vals.T)
+    starts = [p if symmetric else 0 for p in range(distinct.size)]
+    heap = [(distinct[p] + distinct[q], p, q) for p, q in enumerate(starts)]
     worst = 0.0
-    mask = ~np.eye(delta.n, dtype=bool)
-    for mid in range(delta.n):
-        denom = vals[:, mid][:, None] + vals[mid, :][None, :]
-        keep = mask & (np.arange(delta.n)[:, None] != mid) & (np.arange(delta.n)[None, :] != mid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(keep & (denom > 0), vals / np.where(denom > 0, denom, 1.0), 0.0)
-        worst = max(worst, float(ratio.max()))
+    while heap:
+        total, p, q = heapq.heappop(heap)
+        if q + 1 < distinct.size:
+            heapq.heappush(heap, (distinct[p] + distinct[q + 1], p, q + 1))
+        if total == 0:
+            continue
+        if distinct[-1] / total <= worst:
+            break
+        reach = (level <= p).astype(np.float32) @ (level <= q).astype(np.float32) > 0
+        np.fill_diagonal(reach, False)
+        top = int(np.max(level, where=reach, initial=-1))
+        if top >= 0:
+            worst = max(worst, float(distinct[top] / total))
     return worst
 
 

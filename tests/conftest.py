@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own code paths: composition
 runs as a plain triple loop over python lists, shortest paths in the
-small cases are exhaustive over simple paths, and diffusion distances
-difference every pair of coordinate rows explicitly.
+small cases are exhaustive over simple paths, diffusion distances
+difference every pair of coordinate rows explicitly, and the
+quasi-triangle constant is a plain loop over every triple.
 """
 
 import itertools
@@ -94,3 +95,21 @@ def tensor_diffusion_distances(decomp, t):
     coords = decomp.eigenvectors * np.exp(t * decomp.eigenvalues)[None, :]
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))
+
+
+def brute_quasi_triangle_constant(values):
+    """Max of delta(x, z) / (delta(x, y) + delta(y, z)) over distinct x, y, z with a positive sum."""
+    rows = np.asarray(values, dtype=np.float64).tolist()
+    n = len(rows)
+    worst = 0.0
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            for z in range(n):
+                if z in (x, y):
+                    continue
+                denom = rows[x][y] + rows[y][z]
+                if denom > 0:
+                    worst = max(worst, rows[x][z] / denom)
+    return worst

@@ -104,6 +104,22 @@ def test_lambda_round_trip_with_zero_affinities(tmp_path):
     assert reused.read_bytes() == fresh.read_bytes()
 
 
+def test_lambda_from_other_kernel_exits_two(k60_csv, tmp_path):
+    kernel = tmp_path / "k40.csv"
+    assert run("gen", "--n", 40, "--alpha", 2, "-o", kernel) == 0
+    lam = tmp_path / "l60.json"
+    assert run("lambda", "-i", k60_csv, "-o", lam) == 0
+    too_high = tmp_path / "high.json"
+    too_high.write_text(json.dumps({"values": [0.25, 1.5], "iterations": 1}))
+    for path in (lam, too_high):
+        assert run("delta", "-i", kernel, "--lambda", path, "-o", tmp_path / "d.csv") == 2
+        assert run("verify", "-i", kernel, "--lambda", path) == 2
+        assert run("balls", "-i", kernel, "--lambda", path, "--center", 3, "-o", tmp_path / "b.json") == 2
+    seeded = tmp_path / "seeded.json"
+    assert run("lambda", "-i", kernel, "--lambda0", 0.75, "-o", seeded) == 0
+    assert run("delta", "-i", kernel, "--lambda", seeded, "-o", tmp_path / "d.csv") == 0
+
+
 def test_diffusion_eig_output(k60_csv, tmp_path):
     out = tmp_path / "dt.csv"
     eig = tmp_path / "eig.json"

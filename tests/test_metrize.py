@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
@@ -23,7 +25,7 @@ from graphmetrize import (
     verify_sandwich,
 )
 
-from conftest import brute_power3, exhaustive_chain_metric
+from conftest import brute_power3, brute_quasi_triangle_constant, exhaustive_chain_metric
 
 
 def test_lambda_newtonian_4():
@@ -271,6 +273,47 @@ def test_quasi_triangle_on_true_metric_at_most_one():
     dist = np.abs(coords[:, None] - coords[None, :])
     qm = QuasiMetricMatrix(n=5, values=dist, variant="script")
     assert quasi_triangle_constant(qm) <= 1.0
+
+
+def euclidean_quasi_metrics(rng):
+    """Non-dyadic distance tables of random plane points; repeated points give off-diagonal zeros."""
+    out = []
+    for n in (3, 4, 7, 12):
+        for repeats in (0, 2):
+            pts = rng.random((n, 2))
+            pts[:repeats] = pts[n - 1]
+            dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            out.append(QuasiMetricMatrix(n=n, values=dist, variant="script"))
+    out.append(QuasiMetricMatrix(n=3, values=np.zeros((3, 3)), variant="script"))
+    return out
+
+
+def test_quasi_triangle_matches_brute_force_oracle(corpus):
+    rng = np.random.default_rng(31)
+    cases = [
+        delta_matrix(kernel, compute_lambda_sequence(kernel), variant)
+        for kernel in corpus
+        for variant in ("script", "upper", "lower")
+    ]
+    cases += euclidean_quasi_metrics(rng)
+    asymmetric = np.round(rng.random((9, 9)), 1)
+    np.fill_diagonal(asymmetric, 0.0)
+    cases.append(QuasiMetricMatrix(n=9, values=asymmetric, variant="script"))
+    for qm in cases:
+        assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(qm.values)
+
+
+def test_quasi_triangle_memory_is_quadratic():
+    n = 300
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    dm = delta_matrix(kernel, compute_lambda_sequence(kernel))
+    tracemalloc.start()
+    try:
+        quasi_triangle_constant(dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n * n
 
 
 def test_quasi_triangle_requires_three_vertices():
