@@ -152,16 +152,6 @@ def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ball_to_json(ball: BallResult) -> str:
-    payload = {
-        "center": ball.center,
-        "radius": ball.radius,
-        "members": sorted(ball.members),
-        "metric": ball.metric,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def bands_to_json(bands: AnnulusBands) -> str:
     payload = {
         "center": bands.center,

@@ -28,6 +28,7 @@ from .diffusion import (
 from .errors import GraphMetrizeError, InvalidParameterError, NumericError
 from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_kernel, write_matrix_csv
 from .metrize import (
+    QuasiMetricMatrix,
     chain_metric,
     compute_lambda_sequence,
     delta_matrix,
@@ -242,8 +243,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks["level_nesting"] = all(
             is_subset(power3(levels[i]), levels[i - 1]) for i in range(1, seq.k + 1)
         )
-        dm = delta_matrix(kernel, seq, "script")
         pm = chain_metric(kernel, seq)
+        dm = QuasiMetricMatrix(n=kernel.n, values=pm.chain_weights, variant="script")
         sandwich = verify_sandwich(kernel, seq, pm)
         equivalence = verify_equivalence(dm, pm)
         constant = quasi_triangle_constant(dm) if kernel.n >= 3 else 1.0

@@ -14,7 +14,7 @@ from .errors import (
     MatrixFormatError,
     NumericError,
 )
-from .kernels import AffinityMatrix
+from .kernels import AffinityMatrix, _freeze
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     convention: str = "raw"
-
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:

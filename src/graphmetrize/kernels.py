@@ -9,6 +9,7 @@ and is expected to dominate its row.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,19 +29,15 @@ class AffinityMatrix:
 
     n: int
     values: np.ndarray
-    source: str = "generated"
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structural flags and summary statistics for a kernel."""
+    """Structural flags for a kernel."""
 
     symmetric: bool
     diag_dominant: bool
     tridiagonal_positive: bool
-    min_entry: float
-    max_entry: float
-    distinct_value_count: int
 
     def failed_flags(self) -> list[str]:
         names = ("symmetric", "diag_dominant", "tridiagonal_positive")
@@ -53,7 +50,7 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def affinity_matrix(values, source: str = "loaded") -> AffinityMatrix:
+def affinity_matrix(values) -> AffinityMatrix:
     """Wrap a raw square array as an AffinityMatrix, enforcing the invariants.
 
     Symmetry is checked exactly, not to a tolerance: a kernel that was
@@ -75,7 +72,7 @@ def affinity_matrix(values, source: str = "loaded") -> AffinityMatrix:
     if (arr < 0).any():
         i, j = map(int, np.argwhere(arr < 0)[0])
         raise DomainError(f"negative affinity at ({i}, {j}): {arr[i, j]!r}")
-    return AffinityMatrix(n=n, values=_freeze(arr), source=source)
+    return AffinityMatrix(n=n, values=_freeze(arr))
 
 
 def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityMatrix:
@@ -97,7 +94,7 @@ def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityM
     with np.errstate(divide="ignore"):
         vals = gaps ** -float(alpha)
     np.fill_diagonal(vals, float(diag_value))
-    return AffinityMatrix(n=int(n), values=_freeze(vals), source="generated")
+    return AffinityMatrix(n=int(n), values=_freeze(vals))
 
 
 def validate_kernel(kernel: AffinityMatrix) -> ValidationReport:
@@ -120,34 +117,21 @@ def validate_kernel(kernel: AffinityMatrix) -> ValidationReport:
         symmetric=symmetric,
         diag_dominant=diag_dominant,
         tridiagonal_positive=tridiagonal_positive,
-        min_entry=float(v.min()),
-        max_entry=float(v.max()),
-        distinct_value_count=int(np.unique(v).size),
     )
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless comma-separated matrix of floats."""
-    text = Path(path).read_text()
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MatrixFormatError(
-                f"ragged row at line {lineno}: expected {width} cells, got {len(cells)}"
-            )
+    """Read a headerless comma-separated matrix of floats; empty lines are skipped."""
+    with warnings.catch_warnings():
+        # An empty file only warns; it is rejected below.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            rows.append([float(c) for c in cells])
+            arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise MatrixFormatError(f"non-numeric cell at line {lineno}: {exc}") from exc
-    if not rows:
+            raise MatrixFormatError(f"cannot read {path}: {exc}") from exc
+    if arr.size == 0:
         raise MatrixFormatError(f"no data rows in {path}")
-    return np.array(rows, dtype=np.float64)
+    return arr
 
 
 def write_matrix_csv(values, path) -> None:
@@ -184,7 +168,7 @@ def load_affinity(path, fmt: str | None = None) -> AffinityMatrix:
             )
     else:
         raise InvalidParameterError(f"unknown kernel format {fmt!r}")
-    return affinity_matrix(arr, source="loaded")
+    return affinity_matrix(arr)
 
 
 def save_affinity(kernel: AffinityMatrix, path, fmt: str | None = None) -> None:

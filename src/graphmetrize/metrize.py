@@ -29,7 +29,7 @@ from .errors import (
     NonMetrizableError,
     NumericError,
 )
-from .kernels import AffinityMatrix, validate_kernel
+from .kernels import AffinityMatrix, _freeze, validate_kernel
 from .relations import BinaryRelation, level_set, power3
 
 INVERSE_VARIANTS = ("script", "upper", "lower")
@@ -67,7 +67,7 @@ class QuasiMetricMatrix:
 
 @dataclass(frozen=True)
 class PseudoMetricMatrix:
-    """Chain pseudo-metric with the one-step weights it was built from."""
+    """Chain pseudo-metric with the one-step weights (the script delta) it was built from."""
 
     n: int
     values: np.ndarray
@@ -99,12 +99,6 @@ class EquivalenceReport:
     c_hi: float
     pairs: int
     passed: bool
-
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 def compute_lambda_sequence(
@@ -148,7 +142,7 @@ def compute_lambda_sequence(
     iterations = 0
     cap = n * n
     while True:
-        cube = power3(level_set(kernel, descending[-1], strict=False))
+        cube = power3(level_set(kernel, descending[-1]))
         next_value = float(v[cube.bits].min())
         iterations += 1
         if iterations > cap:
@@ -165,7 +159,7 @@ def compute_lambda_sequence(
 
 def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[BinaryRelation]:
     """The nested level sets U(0) .. U(k) at the sequence thresholds."""
-    return [level_set(kernel, float(t), strict=False) for t in seq.values]
+    return [level_set(kernel, float(t)) for t in seq.values]
 
 
 def _inverse_indices(values: np.ndarray, t: np.ndarray, variant: str) -> np.ndarray:

@@ -6,7 +6,6 @@ float64 so BLAS does the inner loop and counts cannot overflow.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,31 +35,9 @@ def relation_from_bits(bits) -> BinaryRelation:
     return BinaryRelation(n=int(arr.shape[0]), bits=_freeze_bits(arr))
 
 
-def identity_relation(n: int) -> BinaryRelation:
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n!r}")
-    return BinaryRelation(n=int(n), bits=_freeze_bits(np.eye(int(n), dtype=bool)))
-
-
-def full_relation(n: int) -> BinaryRelation:
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n!r}")
-    return BinaryRelation(n=int(n), bits=_freeze_bits(np.ones((int(n), int(n)), dtype=bool)))
-
-
-def empty_relation(n: int) -> BinaryRelation:
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n!r}")
-    return BinaryRelation(n=int(n), bits=_freeze_bits(np.zeros((int(n), int(n)), dtype=bool)))
-
-
-def level_set(kernel: AffinityMatrix, threshold: float, strict: bool = False) -> BinaryRelation:
-    """Pairs whose affinity reaches the threshold: K >= t, or K > t when strict."""
-    if strict:
-        bits = kernel.values > threshold
-    else:
-        bits = kernel.values >= threshold
-    return BinaryRelation(n=kernel.n, bits=_freeze_bits(bits))
+def level_set(kernel: AffinityMatrix, threshold: float) -> BinaryRelation:
+    """Pairs whose affinity reaches the threshold: K >= t."""
+    return BinaryRelation(n=kernel.n, bits=_freeze_bits(kernel.values >= threshold))
 
 
 def compose(left: BinaryRelation, right: BinaryRelation) -> BinaryRelation:
@@ -76,51 +53,8 @@ def power3(relation: BinaryRelation) -> BinaryRelation:
     return compose(compose(relation, relation), relation)
 
 
-def is_full(relation: BinaryRelation) -> bool:
-    return bool(relation.bits.all())
-
-
-def is_symmetric(relation: BinaryRelation) -> bool:
-    return bool(np.array_equal(relation.bits, relation.bits.T))
-
-
 def is_subset(inner: BinaryRelation, outer: BinaryRelation) -> bool:
     """True when every pair of inner also belongs to outer."""
     if inner.n != outer.n:
         raise InvalidParameterError(f"relation sizes differ: {inner.n} vs {outer.n}")
     return bool((outer.bits | ~inner.bits).all())
-
-
-def covering_index(relation: BinaryRelation, max_m: int) -> int | None:
-    """Smallest m <= max_m with U^m full, or None if no power in range covers."""
-    if int(max_m) != max_m or max_m < 1:
-        raise InvalidParameterError(f"max_m must be a positive integer, got {max_m!r}")
-    power = relation
-    for m in range(1, int(max_m) + 1):
-        if is_full(power):
-            return m
-        if m < max_m:
-            power = compose(power, relation)
-    return None
-
-
-def relation_to_json(relation: BinaryRelation) -> str:
-    rows = ["".join("1" if b else "0" for b in row) for row in relation.bits]
-    return json.dumps({"n": relation.n, "rows": rows}, indent=2, sort_keys=True) + "\n"
-
-
-def relation_from_json(text: str) -> BinaryRelation:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"invalid relation JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "rows" not in payload:
-        raise MatrixFormatError("relation JSON must be an object with 'rows'")
-    rows = payload["rows"]
-    n = payload.get("n", len(rows))
-    if n != len(rows) or any(len(r) != n for r in rows):
-        raise MatrixFormatError("relation JSON rows must form an n x n grid")
-    if any(set(r) - {"0", "1"} for r in rows):
-        raise MatrixFormatError("relation JSON rows must contain only '0' and '1'")
-    bits = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
-    return relation_from_bits(bits)

@@ -23,7 +23,7 @@ def random_kernel(rng, n):
     upper = np.triu(rng.random((n, n)), 1)
     vals = upper + upper.T
     np.fill_diagonal(vals, 2.0)
-    return affinity_matrix(vals, source="generated")
+    return affinity_matrix(vals)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ from graphmetrize import (
     InvalidParameterError,
     affinity_bands,
     annuli,
-    ball_to_json,
     bands_to_dot,
     bands_to_json,
     compute_lambda_sequence,
@@ -184,11 +183,6 @@ def test_dot_export_contents():
 
 def test_ball_and_bands_json(k60):
     kernel, seq = k60
-    ball = delta_ball(kernel, seq, 50, 0.125)
-    payload = json.loads(ball_to_json(ball))
-    assert payload["center"] == 50
-    assert payload["members"] == list(range(47, 54))
-    assert payload["metric"] == "F"
     bands = affinity_bands(kernel, seq, 50)
     parsed = json.loads(bands_to_json(bands))
     assert parsed["band_of"][50] == 0

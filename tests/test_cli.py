@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,49 @@ def k60_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "k60.csv"
     assert run("gen", "--n", 60, "--alpha", 1, "--diag", 2, "-o", path) == 0
     return path
+
+
+# sha256 of each 60-vertex pipeline output, pinned so that a refactor
+# keeps the CLI's files byte-identical.  diffusion is left out: its
+# output depends on the LAPACK build.
+GOLDEN_60 = {
+    "k60.csv": "d19ca854b5a2ea9b9edadd1982f8eba1c8c5df212db246e92e20faa42a0c0c72",
+    "l.json": "358e13b80721aa4559153f7fb8569c54ed9bf10a64fc6c8112732404b4270dff",
+    "delta_script.csv": "c7c8f91470f569b6e82cfa4914d1a27f96f3d8ec5ab966007d11c9596ed78b3a",
+    "delta_upper.csv": "5a79ff44a37832ca78f185faffbae605c1068a8de0fb409c98f5e32e193a1644",
+    "delta_lower.csv": "ed8587e9affae57d5694b7ff0562a42b0dbb842aa3cd7b2600be8e6410223f86",
+    "chain.csv": "aa5cc5ef98ee44b721f5130378df4d7026d8031097a0d684118c81baa4b378c8",
+    "weights.csv": "c7c8f91470f569b6e82cfa4914d1a27f96f3d8ec5ab966007d11c9596ed78b3a",
+    "verify.json": "6c442b8a00cb4643e524de62cddea53dbe1e7e9c3d6e4bdac0a86fe8de933d7a",
+    "balls_f.json": "f929a16609be3907b0a79b63a659b3ca99524e16c84194225a7c8dfa8ee4cbca",
+    "balls_f.dot": "60e582d3ffc804dd0b9ef97d24b835cb9e829fdc12c1eb13d482d11b85921e6a",
+    "balls_e.json": "c336bae18cd0d09f1c12eab8923436beffd60a776414f628350cf53ae2244178",
+    "compare.json": "06b2bbe088fa568c2fb739368186093f3cbf88a016f3f4ce66b69d3f780098d7",
+}
+
+
+def test_pipeline_60_outputs_byte_identical(tmp_path):
+    k = tmp_path / "k60.csv"
+    lam = tmp_path / "l.json"
+    commands = [
+        ("gen", "--n", 60, "--alpha", 1, "--diag", 2, "-o", k),
+        ("lambda", "-i", k, "-o", lam),
+        *(("delta", "-i", k, "--lambda", lam, "--variant", v, "-o", tmp_path / f"delta_{v}.csv")
+          for v in ("script", "upper", "lower")),
+        ("chain", "-i", k, "--lambda", lam, "-o", tmp_path / "chain.csv",
+         "--weights-output", tmp_path / "weights.csv"),
+        ("verify", "-i", k, "-o", tmp_path / "verify.json"),
+        ("balls", "-i", k, "--lambda", lam, "--center", 50, "--metric", "F",
+         "-o", tmp_path / "balls_f.json", "--dot", tmp_path / "balls_f.dot"),
+        ("balls", "-i", k, "--center", 25, "--metric", "E", "--radii", "1,3,27,59",
+         "-o", tmp_path / "balls_e.json"),
+        ("compare", "-i", k, "--center", 25, "--radius-f", 0.125, "--radius-e", 4,
+         "-o", tmp_path / "compare.json"),
+    ]
+    for command in commands:
+        assert run(*command) == 0, command
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_60}
+    assert digests == GOLDEN_60
 
 
 def test_gen_round_trip_and_value(tmp_path):
@@ -235,8 +279,9 @@ def test_missing_input_exits_two(tmp_path):
 
 def test_malformed_csv_exits_two(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3,4\n")
-    assert run("lambda", "-i", bad, "-o", tmp_path / "l.json") == 2
+    for text in ("1,2\n3,4\n", "", " \n"):
+        bad.write_text(text)
+        assert run("lambda", "-i", bad, "-o", tmp_path / "l.json") == 2
 
 
 def test_numeric_failure_exits_three(k60_csv, tmp_path, monkeypatch):

@@ -78,9 +78,8 @@ def test_strict_form_restatement():
     for i in range(1, seq.k + 1):
         below = distinct[distinct < seq.values[i]]
         assert below.size
-        nonstrict = level_set(kernel, float(seq.values[i]), strict=False)
-        strict = level_set(kernel, float(below[-1]), strict=True)
-        assert np.array_equal(nonstrict.bits, strict.bits)
+        nonstrict = level_set(kernel, float(seq.values[i]))
+        assert np.array_equal(nonstrict.bits, kernel.values > below[-1])
 
 
 def test_lambda_rejects_bad_kernels():

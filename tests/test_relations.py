@@ -6,21 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 from graphmetrize import (
     InvalidParameterError,
-    MatrixFormatError,
     compose,
-    covering_index,
-    empty_relation,
-    full_relation,
-    identity_relation,
-    is_full,
     is_subset,
-    is_symmetric,
     level_set,
     newtonian_kernel,
     power3,
     relation_from_bits,
-    relation_from_json,
-    relation_to_json,
 )
 
 from conftest import brute_compose, brute_power3
@@ -55,21 +46,8 @@ def square_bits_triple(max_n):
 
 def test_level_set_tridiagonal_at_one():
     k = newtonian_kernel(4, 1.0, 2.0)
-    rel = level_set(k, 1.0, strict=False)
+    rel = level_set(k, 1.0)
     assert np.array_equal(rel.bits, tridiagonal_bits(4))
-
-
-def test_level_set_strict_extremes():
-    k = newtonian_kernel(5, 1.0, 2.0)
-    assert is_full(level_set(k, -1.0, strict=True))
-    assert not level_set(k, float(k.values.max()), strict=True).bits.any()
-
-
-def test_level_set_strict_vs_nonstrict_boundary():
-    k = newtonian_kernel(4, 1.0, 2.0)
-    at_one = level_set(k, 1.0, strict=False).bits
-    above_one = level_set(k, 1.0, strict=True).bits
-    assert at_one.sum() > above_one.sum()
 
 
 @seed(1)
@@ -106,14 +84,15 @@ def test_compose_monotone(pair_a, pair_b):
 def test_compose_identity_and_empty():
     rng = np.random.default_rng(7)
     v = relation_from_bits(rng.random((6, 6)) < 0.4)
-    assert np.array_equal(compose(identity_relation(6), v).bits, v.bits)
-    assert np.array_equal(compose(v, identity_relation(6)).bits, v.bits)
-    assert not compose(empty_relation(6), v).bits.any()
+    identity = relation_from_bits(np.eye(6, dtype=bool))
+    assert np.array_equal(compose(identity, v).bits, v.bits)
+    assert np.array_equal(compose(v, identity).bits, v.bits)
+    assert not compose(relation_from_bits(np.zeros((6, 6), dtype=bool)), v).bits.any()
 
 
 def test_compose_rejects_size_mismatch():
     with pytest.raises(InvalidParameterError):
-        compose(identity_relation(3), identity_relation(4))
+        compose(relation_from_bits(np.eye(3, dtype=bool)), relation_from_bits(np.eye(4, dtype=bool)))
 
 
 def test_tridiagonal_compose_widens_band():
@@ -124,12 +103,12 @@ def test_tridiagonal_compose_widens_band():
 
 
 def test_power3_examples():
-    assert is_full(power3(relation_from_bits(tridiagonal_bits(4))))
+    assert power3(relation_from_bits(tridiagonal_bits(4))).bits.all()
     got = power3(relation_from_bits(tridiagonal_bits(8)))
     gaps = np.abs(np.arange(8)[:, None] - np.arange(8)[None, :])
     assert np.array_equal(got.bits, gaps <= 3)
     assert np.array_equal(got.bits, brute_power3(tridiagonal_bits(8)))
-    ident = identity_relation(5)
+    ident = relation_from_bits(np.eye(5, dtype=bool))
     assert np.array_equal(power3(ident).bits, ident.bits)
 
 
@@ -139,66 +118,11 @@ def test_power3_examples():
 def test_symmetric_reflexive_relations_grow_under_power3(bits):
     sym = bits | bits.T | np.eye(len(bits), dtype=bool)
     rel = relation_from_bits(sym)
-    assert is_symmetric(rel)
+    assert np.array_equal(rel.bits, rel.bits.T)
     assert is_subset(rel, power3(rel))
 
 
-def test_is_full_cases():
-    assert is_full(full_relation(4))
-    assert not is_full(relation_from_bits(tridiagonal_bits(4)))
-    assert is_full(power3(relation_from_bits(tridiagonal_bits(4))))
-
-
-def brute_covering(bits, max_m):
-    power = np.asarray(bits, dtype=bool)
-    for m in range(1, max_m + 1):
-        if power.all():
-            return m
-        power = brute_compose(power, bits)
-    return None
-
-
-def test_covering_index_tridiagonal_matches_brute_force():
-    bits = tridiagonal_bits(4)
-    expected = brute_covering(bits, 10)
-    assert covering_index(relation_from_bits(bits), 10) == expected
-    assert expected == 3
-
-
-def test_covering_index_trivial_cases():
-    assert covering_index(full_relation(3), 5) == 1
-    assert covering_index(identity_relation(4), 8) is None
-    with pytest.raises(InvalidParameterError):
-        covering_index(full_relation(3), 0)
-
-
-@seed(1)
-@given(square_bits(12))
-@settings(max_examples=30, deadline=None)
-def test_three_diagonal_relations_cover_within_n(bits):
-    n = len(bits)
-    rel = relation_from_bits(bits | tridiagonal_bits(n))
-    assert covering_index(rel, n) is not None
-
-
-def test_relation_json_round_trip():
-    rng = np.random.default_rng(3)
-    rel = relation_from_bits(rng.random((5, 5)) < 0.5)
-    back = relation_from_json(relation_to_json(rel))
-    assert back.n == rel.n
-    assert np.array_equal(back.bits, rel.bits)
-
-
-def test_relation_json_rejects_garbage():
-    with pytest.raises(MatrixFormatError):
-        relation_from_json("not json")
-    with pytest.raises(MatrixFormatError):
-        relation_from_json('{"n": 2, "rows": ["01"]}')
-    with pytest.raises(MatrixFormatError):
-        relation_from_json('{"n": 2, "rows": ["01", "2x"]}')
-
-
 def test_relation_bits_immutable():
-    rel = identity_relation(3)
+    rel = relation_from_bits(np.eye(3, dtype=bool))
     with pytest.raises(ValueError):
         rel.bits[0, 1] = True
