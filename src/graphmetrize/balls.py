@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 from .kernels import AffinityMatrix
-from .metrize import LambdaSequence
+from .metrize import LambdaSequence, _inverse_indices
 
 PALETTE = ("yellow", "green", "turquoise", "lavender", "purple")
 
@@ -50,23 +49,18 @@ def _check_center(center: int, n: int) -> int:
 def delta_ball(
     kernel: AffinityMatrix, seq: LambdaSequence, center: int, r: float
 ) -> BallResult:
-    """Open ball of the dyadic quasi-metric around a center.
+    """Open ball {v : delta(center, v) < r} of the script quasi-metric, for any r in (0, 1].
 
-    For dyadic radii this is exactly a kernel sublevel set: the ball of
-    radius r collects the vertices whose affinity to the center reaches
-    the threshold at depth floor(log2(1 / r)), and only the center
-    itself once that depth passes the top of the sequence.
+    The center's row of delta is 2 ** -index of its affinities, with
+    delta(center, center) = 0, exactly as delta_matrix computes it.
     """
     center = _check_center(center, kernel.n)
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
-    depth = math.floor(math.log2(1.0 / r)) + 1
-    members = {center}
-    if depth <= seq.k + 1:
-        threshold = float(seq.values[depth - 1])
-        row = kernel.values[center]
-        members.update(int(j) for j in np.nonzero(row >= threshold)[0])
-    return BallResult(center=center, radius=float(r), members=frozenset(members), metric="F")
+    index = _inverse_indices(seq.values, kernel.values[center], "script")
+    row = np.power(2.0, -index.astype(np.float64))
+    row[center] = 0.0
+    return distance_ball(row, center, r, "F")
 
 
 def distance_ball(distances, center: int, r: float, metric: str) -> BallResult:

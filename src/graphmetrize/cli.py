@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .balls import (
+    _check_center,
     affinity_bands,
     annuli,
     bands_to_dot,
@@ -29,6 +30,7 @@ from .errors import GraphMetrizeError, InvalidParameterError, NumericError
 from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_kernel, write_matrix_csv
 from .metrize import (
     QuasiMetricMatrix,
+    _band_min,
     chain_metric,
     compute_lambda_sequence,
     delta_matrix,
@@ -141,7 +143,7 @@ def _sequence_for(args: argparse.Namespace, kernel):
         # Harvested thresholds are kernel entries; only the seed may be a free --lambda0.
         if not all((kernel.values == t).any() for t in seq.values[:-1]):
             raise InvalidParameterError(f"{args.lambda_path}: thresholds are not entries of this kernel")
-        band_min = float(min(kernel.values.diagonal().min(), kernel.values.diagonal(1).min()))
+        band_min = _band_min(kernel, 1)
         if seq.values[-1] > band_min:
             raise InvalidParameterError(
                 f"{args.lambda_path}: top threshold {seq.values[-1]!r} exceeds the band minimum {band_min!r}"
@@ -152,6 +154,14 @@ def _sequence_for(args: argparse.Namespace, kernel):
     )
 
 
+def _distance_row(metric: str, args: argparse.Namespace, kernel):
+    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path)."""
+    if metric == "E":
+        return euclidean_distances(kernel.n, args.center)
+    center = _check_center(args.center, kernel.n)
+    return diffusion_distance_matrix(spectral_decomposition(kernel), args.t)[center]
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     kernel = newtonian_kernel(args.n, args.alpha, args.diag)
     save_affinity(kernel, args.output, args.fmt)
@@ -159,16 +169,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_lambda(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_lambda(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
     args.output.write_text(lambda_to_json(seq))
     _info(f"{seq.k + 1} thresholds in {seq.iterations} rounds -> {args.output}")
     return EXIT_OK
 
 
-def cmd_delta(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_delta(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
     dm = delta_matrix(kernel, seq, args.variant)
     write_matrix_csv(dm.values, args.output)
@@ -176,8 +184,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_chain(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
     pm = chain_metric(kernel, seq)
     write_matrix_csv(pm.values, args.output)
@@ -188,8 +195,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_diffusion(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_diffusion(args: argparse.Namespace, kernel) -> int:
     decomp = spectral_decomposition(kernel)
     if args.eig_output is not None:
         args.eig_output.write_text(decomposition_to_json(decomp))
@@ -200,8 +206,7 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_balls(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_balls(args: argparse.Namespace, kernel) -> int:
     if args.metric == "F":
         if args.radii:
             raise InvalidParameterError("metric F derives its bands from the thresholds; drop --radii")
@@ -210,11 +215,7 @@ def cmd_balls(args: argparse.Namespace) -> int:
     else:
         if not args.radii:
             raise InvalidParameterError(f"metric {args.metric} needs --radii")
-        if args.metric == "D":
-            row = diffusion_distance_matrix(spectral_decomposition(kernel), args.t)[args.center]
-        else:
-            row = euclidean_distances(kernel.n, args.center)
-        bands = annuli(row, args.radii, args.center)
+        bands = annuli(_distance_row(args.metric, args, kernel), args.radii, args.center)
     args.output.write_text(bands_to_json(bands))
     if args.dot is not None:
         args.dot.write_text(bands_to_dot(kernel, bands))
@@ -224,8 +225,7 @@ def cmd_balls(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_verify(args: argparse.Namespace, kernel) -> int:
     report = validate_kernel(kernel)
     checks = {}
     flags = report.failed_flags()
@@ -275,18 +275,14 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    kernel = load_affinity(args.input, args.fmt)
+def cmd_compare(args: argparse.Namespace, kernel) -> int:
     balls = {}
     if args.radius_f is not None:
         seq = _sequence_for(args, kernel)
         balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
-    if args.radius_d is not None:
-        row = diffusion_distance_matrix(spectral_decomposition(kernel), args.t)[args.center]
-        balls["D"] = distance_ball(row, args.center, args.radius_d, "D")
-    if args.radius_e is not None:
-        row = euclidean_distances(kernel.n, args.center)
-        balls["E"] = distance_ball(row, args.center, args.radius_e, "E")
+    for metric, radius in (("D", args.radius_d), ("E", args.radius_e)):
+        if radius is not None:
+            balls[metric] = distance_ball(_distance_row(metric, args, kernel), args.center, radius, metric)
     if len(balls) < 2:
         raise InvalidParameterError("compare needs radii for at least two of F, D, E")
     overlaps = {}
@@ -306,8 +302,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Every command but gen reads a kernel with -i; main loads it once for them.
 COMMANDS = {
-    "gen": cmd_gen,
     "lambda": cmd_lambda,
     "delta": cmd_delta,
     "chain": cmd_chain,
@@ -322,7 +318,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        return COMMANDS[args.command](args, load_affinity(args.input, args.fmt))
     except NumericError as exc:
         _info(f"numeric error: {exc}")
         return EXIT_NUMERIC

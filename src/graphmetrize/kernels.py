@@ -44,8 +44,8 @@ class ValidationReport:
         return [name for name in names if not getattr(self, name)]
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
+def _freeze(values: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -162,9 +162,9 @@ def load_affinity(path, fmt: str | None = None) -> AffinityMatrix:
             arr = np.array(payload["values"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise MatrixFormatError(f"non-numeric kernel values in {p}: {exc}") from exc
-        if "n" in payload and payload["n"] != len(payload["values"]):
+        if "n" in payload and arr.shape[:1] != (payload["n"],):
             raise MatrixFormatError(
-                f"declared n={payload['n']} does not match {len(payload['values'])} rows"
+                f"declared n={payload['n']!r} does not match values of shape {arr.shape}"
             )
     else:
         raise InvalidParameterError(f"unknown kernel format {fmt!r}")

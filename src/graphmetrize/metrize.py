@@ -43,12 +43,11 @@ EQUIVALENCE_UPPER = 2.0
 class LambdaSequence:
     """Strictly ascending thresholds lambda(0) .. lambda(k).
 
-    lambda0_raw is the seed the sweep started from (the top threshold)
+    values[-1] is the seed the sweep started from (the top threshold)
     and iterations counts the cube-and-rethreshold rounds performed.
     """
 
     values: np.ndarray
-    lambda0_raw: float
     iterations: int
 
     @property
@@ -80,8 +79,9 @@ class SandwichReport:
 
     For each interior index n the left check is U(n) inside {d < 2**-n};
     right_shift is the largest j - n such that {d < 2**-n} fits inside
-    U(j).  tightest_shift is the minimum shift over the levels tested,
-    None when the sequence has a single value and nothing is testable.
+    U(j), or -2n - 1 when no level set holds it.  tightest_shift is the
+    minimum shift over the levels tested, None when the sequence has a
+    single value and nothing is testable.
     """
 
     indices: tuple
@@ -125,9 +125,7 @@ def compute_lambda_sequence(
 
     v = kernel.values
     n = kernel.n
-    half = (diagonal_band - 1) // 2
-    gaps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    band_min = float(v[gaps <= half].min())
+    band_min = _band_min(kernel, (diagonal_band - 1) // 2)
     if lambda0_override is None:
         seed = band_min
     else:
@@ -154,7 +152,13 @@ def compute_lambda_sequence(
             break
 
     values = np.array(descending[::-1], dtype=np.float64)
-    return LambdaSequence(values=_freeze(values), lambda0_raw=seed, iterations=iterations)
+    return LambdaSequence(values=_freeze(values), iterations=iterations)
+
+
+def _band_min(kernel: AffinityMatrix, half: int) -> float:
+    """Smallest affinity at most half steps off the diagonal."""
+    v = kernel.values
+    return float(min(v.diagonal(offset).min(initial=np.inf) for offset in range(-half, half + 1)))
 
 
 def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[BinaryRelation]:
@@ -225,25 +229,21 @@ def verify_sandwich(
     """
     if kernel.n != metric.n:
         raise InvalidParameterError(f"sizes differ: kernel {kernel.n}, metric {metric.n}")
-    levels = [rel.bits for rel in level_relations(kernel, seq)]
-    d = metric.values
-    indices = []
+    # U(j) is {level > j}: the largest j whose U(j) holds the ball is one
+    # below the smallest level in the ball (k for an empty ball).
+    level = _inverse_indices(seq.values, kernel.values, "script")
+    indices = tuple(range(1, seq.k + 1))
     left_pass = []
     right_shift = []
-    for idx in range(1, seq.k + 1):
-        ball = d < 2.0 ** -idx
-        indices.append(idx)
-        left_pass.append(bool((ball | ~levels[idx]).all()))
-        best = -idx - 1
-        for j in range(seq.k, -1, -1):
-            if (levels[j] | ~ball).all():
-                best = j
-                break
-        right_shift.append(best - idx)
+    for idx in indices:
+        ball = metric.values < 2.0 ** -idx
+        left_pass.append(bool((ball | (level <= idx)).all()))
+        best = int(level.min(where=ball, initial=seq.k + 1)) - 1
+        right_shift.append((best if best >= 0 else -idx - 1) - idx)
     tightest = min(right_shift) if right_shift else None
     passed = all(left_pass) and (tightest is None or tightest >= -1)
     return SandwichReport(
-        indices=tuple(indices),
+        indices=indices,
         left_pass=tuple(left_pass),
         right_shift=tuple(right_shift),
         tightest_shift=tightest,
@@ -321,14 +321,15 @@ def lambda_from_json(text: str) -> LambdaSequence:
         raise MatrixFormatError(f"invalid threshold JSON: {exc}") from exc
     if not isinstance(payload, dict) or "values" not in payload:
         raise MatrixFormatError("threshold JSON must be an object with 'values'")
-    values = np.array(payload["values"], dtype=np.float64)
+    try:
+        values = np.array(payload["values"], dtype=np.float64)
+        iterations = int(payload.get("iterations", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MatrixFormatError(f"threshold JSON values and iterations must be numbers: {exc}") from exc
     if values.ndim != 1 or values.size == 0:
         raise MatrixFormatError("threshold values must be a non-empty flat list")
     if not (np.diff(values) > 0).all():
         raise MatrixFormatError("threshold values must be strictly ascending")
     if values[0] < 0:
         raise MatrixFormatError("threshold values must be nonnegative")
-    iterations = int(payload.get("iterations", 0))
-    return LambdaSequence(
-        values=_freeze(values), lambda0_raw=float(values[-1]), iterations=iterations
-    )
+    return LambdaSequence(values=_freeze(values), iterations=iterations)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, MatrixFormatError
-from .kernels import AffinityMatrix
+from .kernels import AffinityMatrix, _freeze
 
 
 @dataclass(frozen=True)
@@ -22,22 +22,16 @@ class BinaryRelation:
     bits: np.ndarray
 
 
-def _freeze_bits(bits: np.ndarray) -> np.ndarray:
-    out = np.array(bits, dtype=bool)
-    out.setflags(write=False)
-    return out
-
-
 def relation_from_bits(bits) -> BinaryRelation:
     arr = np.asarray(bits, dtype=bool)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(f"relation must be square, got shape {arr.shape}")
-    return BinaryRelation(n=int(arr.shape[0]), bits=_freeze_bits(arr))
+    return BinaryRelation(n=int(arr.shape[0]), bits=_freeze(arr, bool))
 
 
 def level_set(kernel: AffinityMatrix, threshold: float) -> BinaryRelation:
     """Pairs whose affinity reaches the threshold: K >= t."""
-    return BinaryRelation(n=kernel.n, bits=_freeze_bits(kernel.values >= threshold))
+    return BinaryRelation(n=kernel.n, bits=_freeze(kernel.values >= threshold, bool))
 
 
 def compose(left: BinaryRelation, right: BinaryRelation) -> BinaryRelation:
@@ -45,7 +39,7 @@ def compose(left: BinaryRelation, right: BinaryRelation) -> BinaryRelation:
     if left.n != right.n:
         raise InvalidParameterError(f"relation sizes differ: {left.n} vs {right.n}")
     product = left.bits.astype(np.float64) @ right.bits.astype(np.float64)
-    return BinaryRelation(n=left.n, bits=_freeze_bits(product > 0.0))
+    return BinaryRelation(n=left.n, bits=_freeze(product > 0.0, bool))
 
 
 def power3(relation: BinaryRelation) -> BinaryRelation:

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the library's own code paths: composition
 runs as a plain triple loop over python lists, shortest paths in the
 small cases are exhaustive over simple paths, diffusion distances
-difference every pair of coordinate rows explicitly, and the
-quasi-triangle constant is a plain loop over every triple.
+difference every pair of coordinate rows explicitly, the quasi-triangle
+constant is a plain loop over every triple, and the sandwich scans every
+level set {K >= lambda(j)} for every ball.
 """
 
 import itertools
@@ -113,3 +114,35 @@ def brute_quasi_triangle_constant(values):
                 if denom > 0:
                     worst = max(worst, rows[x][z] / denom)
     return worst
+
+
+def reference_sandwich(kernel, seq, metric):
+    """Sandwich report fields by the per-level scan: one boolean level set per threshold.
+
+    For each index the left check is U(idx) inside the ball {d < 2**-idx};
+    the right shift is the largest j with the ball inside U(j), minus idx,
+    or -2 * idx - 1 when no level set holds the ball.
+    """
+    levels = [kernel.values >= t for t in seq.values]
+    d = metric.values
+    indices = []
+    left_pass = []
+    right_shift = []
+    for idx in range(1, seq.k + 1):
+        ball = d < 2.0 ** -idx
+        indices.append(idx)
+        left_pass.append(bool((ball | ~levels[idx]).all()))
+        best = -idx - 1
+        for j in range(seq.k, -1, -1):
+            if (levels[j] | ~ball).all():
+                best = j
+                break
+        right_shift.append(best - idx)
+    tightest = min(right_shift) if right_shift else None
+    return {
+        "indices": tuple(indices),
+        "left_pass": tuple(left_pass),
+        "right_shift": tuple(right_shift),
+        "tightest_shift": tightest,
+        "passed": all(left_pass) and (tightest is None or tightest >= -1),
+    }

@@ -61,12 +61,15 @@ def test_delta_ball_monotone_in_radius(k60):
 def test_delta_ball_identity_all_centers_all_dyadic_radii(k60):
     kernel, seq = k60
     dm = delta_matrix(kernel, seq)
+    dyadic = [2.0 ** -q for q in range(0, seq.k + 3)]
+    # Non-dyadic radii too: just beside each dyadic one, and uniform ones.
+    beside = [np.nextafter(r, side) for r in dyadic for side in (0.0, 1.0)]
+    uniform = (1.0 - np.random.default_rng(5).random(20)).tolist()
     for center in range(0, 60, 7):
-        for q in range(0, seq.k + 3):
-            r = 2.0 ** -q
+        for r in dyadic + [r for r in beside if r <= 1.0] + uniform:
             ball = delta_ball(kernel, seq, center, r)
             expected = {y for y in range(60) if dm.values[center, y] < r}
-            assert ball.members == expected
+            assert ball.members == expected, (center, r)
 
 
 def test_delta_ball_members_form_interval(k60):

@@ -284,6 +284,28 @@ def test_malformed_csv_exits_two(tmp_path):
         assert run("lambda", "-i", bad, "-o", tmp_path / "l.json") == 2
 
 
+def test_malformed_lambda_file_exits_two(k60_csv, tmp_path):
+    lam = tmp_path / "l.json"
+    for payload in ({"values": ["x", 1.0]}, {"values": [[0.1], [0.2, 1.0]]},
+                    {"values": [0.1, 1.0], "iterations": "many"}):
+        lam.write_text(json.dumps(payload))
+        assert run("delta", "-i", k60_csv, "--lambda", lam, "-o", tmp_path / "d.csv") == 2
+
+
+def test_malformed_kernel_json_exits_two(tmp_path):
+    bad = tmp_path / "k.json"
+    bad.write_text(json.dumps({"n": 2, "values": 5}))
+    assert run("lambda", "-i", bad, "-o", tmp_path / "l.json") == 2
+
+
+def test_out_of_range_center_exits_two(k60_csv, tmp_path):
+    for metric in ("D", "E"):
+        assert run("balls", "-i", k60_csv, "--center", 60, "--metric", metric,
+                   "--radii", "1", "-o", tmp_path / "b.json") == 2
+    assert run("compare", "-i", k60_csv, "--center", 60, "--radius-d", 1.0,
+               "--radius-e", 4, "-o", tmp_path / "c.json") == 2
+
+
 def test_numeric_failure_exits_three(k60_csv, tmp_path, monkeypatch):
     def explode(kernel):
         raise NumericError("synthetic non-convergence")

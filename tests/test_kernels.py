@@ -175,9 +175,11 @@ def test_json_round_trip(tmp_path):
 
 def test_json_rejects_mismatched_n(tmp_path):
     p = tmp_path / "k.json"
-    p.write_text(json.dumps({"n": 3, "values": [[2, 1], [1, 2]]}))
-    with pytest.raises(MatrixFormatError):
-        load_affinity(p)
+    for payload in ({"n": 3, "values": [[2, 1], [1, 2]]}, {"n": 2, "values": 5},
+                    {"n": 2, "values": [[2, 1], [1]]}, {"values": 5}):
+        p.write_text(json.dumps(payload))
+        with pytest.raises(MatrixFormatError):
+            load_affinity(p)
 
 
 def test_unknown_format_rejected(tmp_path):

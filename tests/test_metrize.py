@@ -1,14 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from graphmetrize import (
     DomainError,
     InvalidParameterError,
+    LambdaSequence,
     MatrixFormatError,
     NonMetrizableError,
+    PseudoMetricMatrix,
     QuasiMetricMatrix,
     affinity_matrix,
     chain_metric,
@@ -25,14 +30,19 @@ from graphmetrize import (
     verify_sandwich,
 )
 
-from conftest import brute_power3, brute_quasi_triangle_constant, exhaustive_chain_metric
+from conftest import (
+    brute_power3,
+    brute_quasi_triangle_constant,
+    exhaustive_chain_metric,
+    reference_sandwich,
+)
 
 
 def test_lambda_newtonian_4():
     seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
     assert seq.values.tolist() == [1.0 / 3.0, 1.0]
     assert seq.k == 1
-    assert seq.lambda0_raw == 1.0
+    assert seq.values[-1] == 1.0
     assert seq.iterations == 1
 
 
@@ -92,7 +102,7 @@ def test_lambda_rejects_bad_kernels():
 def test_lambda_band_and_override_options():
     kernel = newtonian_kernel(10, 1.0, 2.0)
     five = compute_lambda_sequence(kernel, diagonal_band=5)
-    assert five.lambda0_raw == 0.5
+    assert five.values[-1] == 0.5
     with pytest.raises(InvalidParameterError):
         compute_lambda_sequence(kernel, diagonal_band=4)
     override = compute_lambda_sequence(kernel, lambda0_override=0.5)
@@ -242,6 +252,103 @@ def test_sandwich_level_zero_ball_absorbs_everything():
     assert levels[0].bits.all()
 
 
+@st.composite
+def metrizable_kernels(draw, n):
+    """Kernels that pass the sweep's flags, with ties and zeros.
+
+    Entries come from a grid of a few values, so ties are common, and 0
+    is allowed everywhere off the tridiagonal.  The base is uniform or
+    decays like 1 / |i - j| (which gives several levels); either may be
+    cut to a band or given dense diagonal blocks.  The diagonal equals
+    or exceeds the row maximum.
+    """
+    grid = draw(st.integers(1, 4))
+    cells = np.array(draw(st.lists(st.integers(0, grid), min_size=n * n, max_size=n * n)), dtype=float)
+    vals = np.triu(cells.reshape(n, n), 1)
+    vals = vals + vals.T
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if draw(st.booleans()):
+        vals = np.maximum(np.floor(4 * grid / np.maximum(gaps, 1)) - vals % 2, 0.0)
+    shape = draw(st.sampled_from(("plain", "banded", "block")))
+    if shape == "banded":
+        vals[gaps > draw(st.integers(1, n))] = 0.0
+    elif shape == "block":
+        block = np.arange(n) // draw(st.integers(1, n))
+        vals = np.where(block[:, None] == block[None, :], vals.max(), np.minimum(vals, 1.0))
+    vals[gaps == 1] = np.maximum(vals[gaps == 1], 1.0)
+    np.fill_diagonal(vals, vals.max() + draw(st.integers(0, 1)))
+    return affinity_matrix(vals / grid)
+
+
+@st.composite
+def sandwich_cases(draw):
+    """A kernel, a sequence and a metric, matched or not.
+
+    The sequence is the kernel's own, seed-overridden, another kernel's,
+    or the own one without its bottom threshold.  The metric is the
+    kernel's chain metric, the same scaled, another kernel's chain
+    metric, or all ones.  The mismatched cases give failing reports,
+    empty balls and balls that no level set holds.
+    """
+    n = draw(st.integers(2, 10))
+    kernel = draw(metrizable_kernels(n))
+    other = draw(metrizable_kernels(n))
+    band = draw(st.sampled_from((3, 5)))
+    half = (band - 1) // 2
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    band_min = float(kernel.values[gaps <= half].min())
+    source = draw(st.sampled_from(("own", "override", "other", "truncated")))
+    if source == "override" and band_min > 0:
+        fraction = draw(st.sampled_from((1.0, 0.5, 0.25)) | st.floats(0.01, 1.0))
+        seq = compute_lambda_sequence(kernel, band, lambda0_override=band_min * fraction)
+    elif source == "other":
+        seq = compute_lambda_sequence(other, band)
+    else:
+        seq = compute_lambda_sequence(kernel, band)
+    if source == "truncated" and seq.k > 0:
+        # Without the bottom threshold, pairs below it sit in no level set.
+        seq = LambdaSequence(values=seq.values[1:], iterations=seq.iterations)
+    own = chain_metric(kernel, compute_lambda_sequence(kernel))
+    choice = draw(st.sampled_from(("own", "scaled", "other", "ones")))
+    if choice == "own":
+        metric = own
+    elif choice == "scaled":
+        factor = draw(st.sampled_from((0.125, 0.25, 4.0, 16.0)))
+        metric = PseudoMetricMatrix(n=n, values=own.values * factor, chain_weights=own.chain_weights)
+    elif choice == "other":
+        metric = chain_metric(other, compute_lambda_sequence(other))
+    else:
+        metric = PseudoMetricMatrix(n=n, values=np.ones((n, n)), chain_weights=np.ones((n, n)))
+    return kernel, seq, metric
+
+
+@seed(4)
+@given(sandwich_cases())
+@settings(max_examples=300, deadline=None)
+def test_sandwich_matches_reference_scan(case):
+    kernel, seq, metric = case
+    report = verify_sandwich(kernel, seq, metric)
+    assert dataclasses.asdict(report) == reference_sandwich(kernel, seq, metric)
+
+
+def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
+    outcomes = set()
+    for kernel, seq, _, pm in corpus_pipeline:
+        # Dropping the bottom threshold leaves pairs in no level set, so small balls
+        # of a shrunken metric reach them and no level set holds the ball.
+        top = LambdaSequence(values=seq.values[1:], iterations=seq.iterations)
+        shrunk = PseudoMetricMatrix(n=pm.n, values=pm.values * 0.125, chain_weights=pm.chain_weights)
+        for s, metric in ((seq, pm), (seq, shrunk), (top, pm), (top, shrunk)):
+            report = verify_sandwich(kernel, s, metric)
+            expected = reference_sandwich(kernel, s, metric)
+            assert dataclasses.asdict(report) == expected
+            outcomes.add(report.passed)
+            outcomes.update(
+                "none holds" for idx, shift in zip(report.indices, report.right_shift) if shift == -2 * idx - 1
+            )
+    assert outcomes == {True, False, "none holds"}
+
+
 def test_equivalence_4x4_ratios_pass():
     kernel = newtonian_kernel(4, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
@@ -326,7 +433,7 @@ def test_lambda_json_round_trip():
     back = lambda_from_json(lambda_to_json(seq))
     assert np.array_equal(back.values, seq.values)
     assert back.iterations == seq.iterations
-    assert back.lambda0_raw == seq.values[-1]
+    assert back.values[-1] == seq.values[-1]
 
 
 def test_lambda_json_rejects_malformed():
@@ -338,3 +445,9 @@ def test_lambda_json_rejects_malformed():
         lambda_from_json('{"values": [], "iterations": 0}')
     with pytest.raises(MatrixFormatError):
         lambda_from_json('{"values": [-0.5, 1.0], "iterations": 1}')
+    for text in ('{"values": ["x", 1.0]}', '{"values": [[0.1], [0.2, 1.0]]}',
+                 '{"values": {"a": 1.0}}', '{"values": [0.1, 1.0], "iterations": "many"}',
+                 '{"values": [0.1, 1.0], "iterations": [2]}',
+                 '{"values": [0.1, 1.0], "iterations": Infinity}'):
+        with pytest.raises(MatrixFormatError):
+            lambda_from_json(text)
