@@ -140,7 +140,7 @@ def write_matrix_csv(values, path) -> None:
     Floats are written with repr so a read back is bit-exact.
     """
     arr = np.asarray(values, dtype=np.float64)
-    lines = [",".join(repr(float(x)) for x in row) for row in arr]
+    lines = [",".join(map(repr, row.tolist())) for row in arr]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -209,14 +209,28 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     containing level set is m gets weight 2 ** -(m + 1), and d is the
     exact shortest path over those weights.  The half step is what makes
     every level set m sit strictly inside the radius 2 ** -m ball of d.
-    All weights and path sums are dyadic, so the relaxation below is
-    exact, not approximate.
+
+    Scaled by 2 ** (k + 1), every off-diagonal weight is an integer in
+    1 .. 2 ** (k + 1), so Floyd-Warshall runs in integers and is exact.
+    A relaxed sum is at most 2 ** (k + 2); the narrowest signed type that
+    holds it is used: int16 for k <= 12, int32 for k <= 28, int64 for
+    k <= 60.  Larger k raises InvalidParameterError.  The distances are
+    scaled back into float64, exactly for k <= 52 and rounded to nearest
+    from the exact integer beyond.
     """
+    scale = seq.k + 1
+    fits = [t for t in (np.int16, np.int32, np.int64) if 2 ** (scale + 1) <= np.iinfo(t).max]
+    if not fits:
+        raise InvalidParameterError(f"chain closure needs at most 61 thresholds (k <= 60), got k = {seq.k}")
     weights = delta_matrix(kernel, seq, "script").values
-    dist = weights.copy()
+    dist = np.ldexp(weights, scale).astype(fits[0])
+    tmp = np.empty_like(dist)
     for mid in range(kernel.n):
-        np.minimum(dist, dist[:, mid][:, None] + dist[mid, :][None, :], out=dist)
-    return PseudoMetricMatrix(n=kernel.n, values=_freeze(dist), chain_weights=weights)
+        np.add(dist[:, mid, None], dist[mid], out=tmp)
+        np.minimum(dist, tmp, out=dist)
+    values = np.ldexp(dist, -scale, dtype=np.float64)
+    values.setflags(write=False)
+    return PseudoMetricMatrix(n=kernel.n, values=values, chain_weights=weights)
 
 
 def verify_sandwich(

@@ -1,7 +1,8 @@
 """Binary relations on vertex pairs, stored as dense boolean matrices.
 
 Composition is the support of the matrix product; the product runs in
-float64 so BLAS does the inner loop and counts cannot overflow.
+float32 so BLAS does the inner loop, and its counts, at most n, are exact
+for n < 2 ** 24.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def compose(left: BinaryRelation, right: BinaryRelation) -> BinaryRelation:
     """(i, j) is in the result iff some k has (i, k) in left and (k, j) in right."""
     if left.n != right.n:
         raise InvalidParameterError(f"relation sizes differ: {left.n} vs {right.n}")
-    product = left.bits.astype(np.float64) @ right.bits.astype(np.float64)
+    product = left.bits.astype(np.float32) @ right.bits.astype(np.float32)
     return BinaryRelation(n=left.n, bits=_freeze(product > 0.0, bool))
 
 

@@ -2,16 +2,19 @@
 
 The oracles deliberately avoid the library's own code paths: composition
 runs as a plain triple loop over python lists, shortest paths in the
-small cases are exhaustive over simple paths, diffusion distances
-difference every pair of coordinate rows explicitly, the quasi-triangle
-constant is a plain loop over every triple, and the sandwich scans every
-level set {K >= lambda(j)} for every ball.
+small cases are exhaustive over simple paths, the chain metric's
+one-step weights count the thresholds at or below each affinity and are
+closed by scipy's Floyd-Warshall or one over Python integers, diffusion
+distances difference every pair of coordinate rows explicitly, the
+quasi-triangle constant is a plain loop over every triple, and the
+sandwich scans every level set {K >= lambda(j)} for every ball.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 from graphmetrize import affinity_matrix, chain_metric, compute_lambda_sequence, delta_matrix
 
@@ -89,6 +92,36 @@ def exhaustive_chain_metric(weights):
                     if total < best[i, j]:
                         best[i, j] = total
     return best
+
+
+def reference_chain_weights(kernel, seq):
+    """Script delta by counting thresholds: 2 ** -#{t <= K(x, y)}, zero diagonal."""
+    counts = (kernel.values[:, :, None] >= np.asarray(seq.values)[None, None, :]).sum(axis=2)
+    weights = np.power(2.0, -counts.astype(np.float64))
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def scipy_chain_metric(kernel, seq):
+    """Chain metric from scipy's Floyd-Warshall over the reference weights; exact while sums fit 53 bits.
+
+    scipy reads dense entries within 1e-8 of zero as missing edges, so the
+    weights go in scaled by 2 ** (k + 1), as integers of at least 1.
+    """
+    scale = 2.0 ** (seq.k + 1)
+    return csgraph.shortest_path(reference_chain_weights(kernel, seq) * scale, method="FW") / scale
+
+
+def exact_chain_metric(kernel, seq):
+    """Chain metric by Floyd-Warshall over Python integers (the weights times 2 ** (k + 1)), rounded once to float."""
+    scale = 2 ** (seq.k + 1)
+    dist = [[int(w * scale) for w in row] for row in reference_chain_weights(kernel, seq).tolist()]
+    n = len(dist)
+    for mid in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][mid] + dist[mid][j])
+    return np.array([[d / scale for d in row] for row in dist])
 
 
 def tensor_diffusion_distances(decomp, t):

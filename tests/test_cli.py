@@ -164,6 +164,26 @@ def test_lambda_from_other_kernel_exits_two(k60_csv, tmp_path):
     assert run("delta", "-i", kernel, "--lambda", seeded, "-o", tmp_path / "d.csv") == 0
 
 
+def test_chain_over_sixty_levels_exits_two(tmp_path):
+    # 66 distinct entries off the tridiagonal give a --lambda file of up to k = 66 levels.
+    n = 13
+    rows, cols = np.triu_indices(n, 2)
+    values = np.zeros((n, n))
+    values[rows, cols] = np.arange(1, rows.size + 1) / 100
+    values += values.T
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    values[gaps == 1] = 1.0
+    np.fill_diagonal(values, 2.0)
+    kernel = tmp_path / "k.csv"
+    write_matrix_csv(values, kernel)
+    entries = sorted(values[rows, cols].tolist())
+    lam = tmp_path / "l.json"
+    lam.write_text(json.dumps({"values": entries + [1.0], "iterations": 1}))
+    assert run("chain", "-i", kernel, "--lambda", lam, "-o", tmp_path / "d.csv") == 2
+    lam.write_text(json.dumps({"values": entries[6:] + [1.0], "iterations": 1}))
+    assert run("chain", "-i", kernel, "--lambda", lam, "-o", tmp_path / "d.csv") == 0
+
+
 def test_diffusion_eig_output(k60_csv, tmp_path):
     out = tmp_path / "dt.csv"
     eig = tmp_path / "eig.json"

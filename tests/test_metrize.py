@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph as csgraph
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -33,8 +32,12 @@ from graphmetrize import (
 from conftest import (
     brute_power3,
     brute_quasi_triangle_constant,
+    exact_chain_metric,
     exhaustive_chain_metric,
+    random_kernel,
+    reference_chain_weights,
     reference_sandwich,
+    scipy_chain_metric,
 )
 
 
@@ -194,12 +197,10 @@ def test_chain_metric_4x4_matches_exhaustive_oracle():
     assert pm.values[0, 3] == 0.5
 
 
-def test_chain_metric_matches_scipy_shortest_path(corpus):
-    for kernel in corpus[:8]:
-        seq = compute_lambda_sequence(kernel)
-        pm = chain_metric(kernel, seq)
-        expected = csgraph.shortest_path(pm.chain_weights, method="FW")
-        assert np.allclose(pm.values, expected, rtol=0, atol=0)
+def test_chain_metric_matches_scipy_shortest_path(corpus_pipeline):
+    for kernel, seq, _, pm in corpus_pipeline:
+        assert np.array_equal(pm.chain_weights, reference_chain_weights(kernel, seq))
+        assert np.array_equal(pm.values, scipy_chain_metric(kernel, seq))
 
 
 def test_chain_metric_structure(corpus):
@@ -329,6 +330,57 @@ def test_sandwich_matches_reference_scan(case):
     kernel, seq, metric = case
     report = verify_sandwich(kernel, seq, metric)
     assert dataclasses.asdict(report) == reference_sandwich(kernel, seq, metric)
+
+
+@seed(6)
+@given(st.integers(2, 10).flatmap(metrizable_kernels), st.sampled_from((3, 5)))
+@settings(max_examples=200, deadline=None)
+def test_chain_metric_matches_scipy_property(kernel, band):
+    seq = compute_lambda_sequence(kernel, band)
+    assert np.array_equal(chain_metric(kernel, seq).values, scipy_chain_metric(kernel, seq))
+
+
+def deep_sequence(size):
+    """A random 30-vertex kernel with size of its distinct off-diagonal entries as thresholds (k = size - 1)."""
+    rng = np.random.default_rng(size)
+    kernel = random_kernel(rng, 30)
+    distinct = np.unique(kernel.values[np.triu_indices(30, 1)])
+    values = np.sort(rng.choice(distinct, size, replace=False))
+    return kernel, LambdaSequence(values=values, iterations=0)
+
+
+# k = 12 and 28 are the last levels in int16 and int32; 13, 19, 29 and 39 need the wider type.
+@pytest.mark.parametrize("size", (13, 14, 20, 29, 30, 40))
+def test_chain_metric_deep_sequences_match_scipy(size):
+    kernel, seq = deep_sequence(size)
+    assert seq.k == size - 1
+    assert np.array_equal(chain_metric(kernel, seq).values, scipy_chain_metric(kernel, seq))
+
+
+def test_chain_metric_sixty_levels_matches_integer_oracle():
+    kernel, seq = deep_sequence(61)
+    pm = chain_metric(kernel, seq)
+    assert pm.values.min(initial=1.0, where=pm.values > 0) == 2.0 ** -61
+    assert np.array_equal(pm.values, exact_chain_metric(kernel, seq))
+
+
+def test_chain_metric_rejects_more_than_sixty_levels():
+    kernel, seq = deep_sequence(62)
+    with pytest.raises(InvalidParameterError, match="k = 61"):
+        chain_metric(kernel, seq)
+
+
+def test_chain_metric_memory_is_quadratic():
+    n = 300
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    tracemalloc.start()
+    try:
+        chain_metric(kernel, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * n * n
 
 
 def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
