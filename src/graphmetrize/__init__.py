@@ -59,7 +59,6 @@ from .metrize import (
     compute_lambda_sequence,
     delta_matrix,
     lambda_from_json,
-    lambda_inverse,
     lambda_to_json,
     level_relations,
     quasi_triangle_constant,
@@ -117,7 +116,6 @@ __all__ = [
     "graph_laplacian",
     "is_subset",
     "lambda_from_json",
-    "lambda_inverse",
     "lambda_to_json",
     "level_relations",
     "level_set",

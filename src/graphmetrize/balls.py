@@ -57,8 +57,7 @@ def delta_ball(
     center = _check_center(center, kernel.n)
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
-    index = _inverse_indices(seq.values, kernel.values[center], "script")
-    row = np.power(2.0, -index.astype(np.float64))
+    row = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values[center], "script"))
     row[center] = 0.0
     return distance_ball(row, center, r, "F")
 
@@ -105,12 +104,16 @@ def annuli(distances, radii, center: int | None = None) -> AnnulusBands:
 def affinity_bands(
     kernel: AffinityMatrix, seq: LambdaSequence, center: int
 ) -> AnnulusBands:
-    """Annuli of the level structure itself, cut between consecutive thresholds.
+    """Annuli of the level structure itself, cut at the thresholds.
 
-    Band 0 holds the vertices whose affinity to the center exceeds the
-    top threshold (normally just the center); band b holds those between
-    thresholds k - b and k - b + 1; band k + 1 is at or below the bottom
-    threshold.  The reported radii are the thresholds themselves.
+    The band of v is #{j : lambda(j) >= K(center, v)}: band 0 holds the
+    vertices whose affinity exceeds the top threshold (normally just the
+    center), band b those with lambda(k - b) < K <= lambda(k - b + 1),
+    and band k + 1 those at or below the bottom threshold.  A tie goes to
+    the outer band, as a distance equal to a radius does in annuli; that
+    is why this is not k + 1 minus the script index #{j : lambda(j) <= K},
+    which puts a tie in the inner level set.  The reported radii are the
+    thresholds themselves.
     """
     center = _check_center(center, kernel.n)
     row = kernel.values[center]
@@ -138,10 +141,9 @@ def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:
     lines = ["graph affinity {", "  node [style=filled];"]
     for v in range(kernel.n):
         lines.append(f"  {v} [fillcolor={bands.palette[bands.band_of[v]]}];")
-    for i in range(kernel.n):
-        for j in range(i + 1, kernel.n):
-            if kernel.values[i, j] > 0:
-                lines.append(f"  {i} -- {j};")
+    # Row by row: index lists for all n**2 / 2 edges at once would outweigh the text.
+    for i, row in enumerate(np.triu(kernel.values > 0, 1)):
+        lines.extend(f"  {i} -- {j};" for j in np.flatnonzero(row).tolist())
     lines.append("}")
     return "\n".join(lines) + "\n"
 

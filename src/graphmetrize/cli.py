@@ -31,17 +31,16 @@ from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_ke
 from .metrize import (
     QuasiMetricMatrix,
     _band_min,
+    _sweep_step,
     chain_metric,
     compute_lambda_sequence,
     delta_matrix,
     lambda_from_json,
     lambda_to_json,
-    level_relations,
     quasi_triangle_constant,
     verify_equivalence,
     verify_sandwich,
 )
-from .relations import is_subset, power3
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -239,9 +238,8 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         _info(f"FAIL kernel flags: {', '.join(flags)}")
     else:
         seq = _sequence_for(args, kernel)
-        levels = level_relations(kernel, seq)
         checks["level_nesting"] = all(
-            is_subset(power3(levels[i]), levels[i - 1]) for i in range(1, seq.k + 1)
+            _sweep_step(kernel, seq.values[i]) >= seq.values[i - 1] for i in range(1, seq.k + 1)
         )
         pm = chain_metric(kernel, seq)
         dm = QuasiMetricMatrix(n=kernel.n, values=pm.chain_weights, variant="script")

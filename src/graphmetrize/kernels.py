@@ -140,8 +140,9 @@ def write_matrix_csv(values, path) -> None:
     Floats are written with repr so a read back is bit-exact.
     """
     arr = np.asarray(values, dtype=np.float64)
-    lines = [",".join(map(repr, row.tolist())) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as handle:
+        for row in arr:
+            handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_affinity(path, fmt: str | None = None) -> AffinityMatrix:

@@ -123,8 +123,6 @@ def compute_lambda_sequence(
     if diagonal_band not in (3, 5):
         raise InvalidParameterError(f"diagonal_band must be 3 or 5, got {diagonal_band!r}")
 
-    v = kernel.values
-    n = kernel.n
     band_min = _band_min(kernel, (diagonal_band - 1) // 2)
     if lambda0_override is None:
         seed = band_min
@@ -135,13 +133,12 @@ def compute_lambda_sequence(
                 f"lambda0_override must lie in (0, {band_min!r}], got {lambda0_override!r}"
             )
 
-    kernel_min = float(v.min())
+    kernel_min = float(kernel.values.min())
     descending = [seed]
     iterations = 0
-    cap = n * n
+    cap = kernel.n ** 2
     while True:
-        cube = power3(level_set(kernel, descending[-1]))
-        next_value = float(v[cube.bits].min())
+        next_value = _sweep_step(kernel, descending[-1])
         iterations += 1
         if iterations > cap:
             raise NumericError(f"threshold sweep did not terminate within {cap} rounds")
@@ -151,8 +148,18 @@ def compute_lambda_sequence(
         if next_value <= kernel_min:
             break
 
-    values = np.array(descending[::-1], dtype=np.float64)
-    return LambdaSequence(values=_freeze(values), iterations=iterations)
+    return LambdaSequence(values=_freeze(descending[::-1]), iterations=iterations)
+
+
+def _sweep_step(kernel: AffinityMatrix, threshold: float) -> float:
+    """Smallest affinity the cube of the level set {K >= threshold} reaches.
+
+    U(i) o U(i) o U(i) lies inside U(i - 1) exactly when this is at least
+    lambda(i - 1).  While the threshold is at most the smallest diagonal
+    entry, the cube holds the diagonal and so is never empty.
+    """
+    cube = power3(level_set(kernel, threshold))
+    return float(kernel.values[cube.bits].min())
 
 
 def _band_min(kernel: AffinityMatrix, half: int) -> float:
@@ -179,27 +186,14 @@ def _inverse_indices(values: np.ndarray, t: np.ndarray, variant: str) -> np.ndar
     )
 
 
-def lambda_inverse(t: float, seq: LambdaSequence, variant: str = "script") -> int:
-    """Step extension of the inverse threshold map to all t >= 0.
-
-    script counts the thresholds at or below t, ranging 0..k+1.  upper
-    is the smallest index whose threshold reaches t, clamped to k.
-    lower is the largest index strictly under t, clamped to k-1.
-    """
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t!r}")
-    idx = _inverse_indices(seq.values, np.asarray([t], dtype=np.float64), variant)
-    return int(idx[0])
-
-
 def delta_matrix(
     kernel: AffinityMatrix, seq: LambdaSequence, variant: str = "script"
 ) -> QuasiMetricMatrix:
     """Dyadic quasi-metric 2 ** -inverse(K) with the diagonal forced to zero."""
-    idx = _inverse_indices(seq.values, kernel.values.ravel(), variant)
-    vals = np.power(2.0, -idx.astype(np.float64)).reshape(kernel.values.shape)
+    vals = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values, variant))
     np.fill_diagonal(vals, 0.0)
-    return QuasiMetricMatrix(n=kernel.n, values=_freeze(vals), variant=variant)
+    vals.setflags(write=False)
+    return QuasiMetricMatrix(n=kernel.n, values=vals, variant=variant)
 
 
 def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMatrix:

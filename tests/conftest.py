@@ -1,4 +1,5 @@
-"""Shared fixtures: the random kernel corpus and independent oracles.
+"""Shared fixtures: the random kernel corpus, a Hypothesis strategy for
+metrizable kernels, and independent oracles.
 
 The oracles deliberately avoid the library's own code paths: composition
 runs as a plain triple loop over python lists, shortest paths in the
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
+from hypothesis import strategies as st
 
 from graphmetrize import affinity_matrix, chain_metric, compute_lambda_sequence, delta_matrix
 
@@ -50,6 +52,34 @@ def corpus_pipeline(corpus):
         pm = chain_metric(kernel, seq)
         out.append((kernel, seq, dm, pm))
     return out
+
+
+@st.composite
+def metrizable_kernels(draw, n):
+    """Kernels that pass the sweep's flags, with ties and zeros.
+
+    Entries come from a grid of a few values, so ties are common, and 0
+    is allowed everywhere off the tridiagonal.  The base is uniform or
+    decays like 1 / |i - j| (which gives several levels); either may be
+    cut to a band or given dense diagonal blocks.  The diagonal equals
+    or exceeds the row maximum.
+    """
+    grid = draw(st.integers(1, 4))
+    cells = np.array(draw(st.lists(st.integers(0, grid), min_size=n * n, max_size=n * n)), dtype=float)
+    vals = np.triu(cells.reshape(n, n), 1)
+    vals = vals + vals.T
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if draw(st.booleans()):
+        vals = np.maximum(np.floor(4 * grid / np.maximum(gaps, 1)) - vals % 2, 0.0)
+    shape = draw(st.sampled_from(("plain", "banded", "block")))
+    if shape == "banded":
+        vals[gaps > draw(st.integers(1, n))] = 0.0
+    elif shape == "block":
+        block = np.arange(n) // draw(st.integers(1, n))
+        vals = np.where(block[:, None] == block[None, :], vals.max(), np.minimum(vals, 1.0))
+    vals[gaps == 1] = np.maximum(vals[gaps == 1], 1.0)
+    np.fill_diagonal(vals, vals.max() + draw(st.integers(0, 1)))
+    return affinity_matrix(vals / grid)
 
 
 def brute_compose(left_bits, right_bits):

@@ -161,6 +161,13 @@ def test_affinity_bands_partition_and_monotone(k60):
         order = np.argsort(gaps, kind="stable")
         assigned = [bands.band_of[v] for v in order]
         assert assigned == sorted(assigned)
+        # band = #{j : lambda(j) >= K}: a vertex whose affinity equals a threshold goes outward.
+        row = kernel.values[center]
+        assert list(bands.band_of) == [int((seq.values >= a).sum()) for a in row]
+        ties = [v for v in range(60) if v != center and row[v] in seq.values]
+        assert len(ties) >= 4
+        script = np.searchsorted(seq.values, row, side="right")
+        assert all(bands.band_of[v] == seq.k + 2 - script[v] for v in ties)
 
 
 def test_palette_cycles_past_five_bands():

@@ -1,14 +1,21 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import graphmetrize.cli as cli
 from graphmetrize import (
+    LambdaSequence,
     NumericError,
+    compute_lambda_sequence,
     decomposition_from_json,
     graph_laplacian,
+    lambda_to_json,
     load_affinity,
     newtonian_kernel,
     read_matrix_csv,
@@ -16,7 +23,7 @@ from graphmetrize import (
 )
 from graphmetrize.cli import jaccard, main
 
-from conftest import tensor_diffusion_distances
+from conftest import brute_power3, metrizable_kernels, tensor_diffusion_distances
 
 
 def run(*args):
@@ -261,6 +268,69 @@ def test_verify_fails_on_bad_kernel(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["passed"] is False
     assert payload["flags"]["tridiagonal_positive"] is False
+
+
+def brute_nesting(kernel, values):
+    """U(i) o U(i) o U(i) inside U(i - 1) at every level, by the triple-loop cube."""
+    levels = [kernel.values >= t for t in values]
+    return all((levels[i - 1] | ~brute_power3(levels[i])).all() for i in range(1, len(values)))
+
+
+def verify_with_thresholds(kernel, values, directory):
+    """Exit code and report of verify run on kernel with the given --lambda thresholds."""
+    k = directory / "k.csv"
+    lam = directory / "l.json"
+    report = directory / "report.json"
+    write_matrix_csv(kernel.values, k)
+    lam.write_text(lambda_to_json(LambdaSequence(values=np.asarray(values, dtype=float), iterations=0)))
+    code = run("verify", "-i", k, "--lambda", lam, "-o", report)
+    return code, json.loads(report.read_text())
+
+
+def test_verify_reports_failed_nesting(tmp_path):
+    # {K >= 1} is the tridiagonal, whose cube reaches |i - j| = 3 with K = 1/3 < 1/2.
+    kernel = newtonian_kernel(10, 1.0, 2.0)
+    values = [1 / 9, 1 / 2, 1.0]
+    code, payload = verify_with_thresholds(kernel, values, tmp_path)
+    assert code == 1
+    assert payload["checks"]["level_nesting"] is False
+    assert payload["passed"] is False
+    assert brute_nesting(kernel, values) is False
+
+
+@st.composite
+def nesting_cases(draw):
+    """A metrizable or power-law kernel with its own sequence, that sequence
+    without its bottom threshold, or a sorted subset of its entries at or
+    below the tridiagonal band minimum (which may fail to nest)."""
+    n = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        kernel = draw(metrizable_kernels(n))
+    else:
+        kernel = newtonian_kernel(n, draw(st.sampled_from((0.5, 1.0, 2.0))), 2.0)
+    values = compute_lambda_sequence(kernel, draw(st.sampled_from((3, 5)))).values.tolist()
+    source = draw(st.sampled_from(("own", "truncated", "subset")))
+    if source == "truncated" and len(values) > 1:
+        values = values[1:]
+    elif source == "subset":
+        band_min = cli._band_min(kernel, 1)
+        entries = sorted(set(kernel.values[kernel.values <= band_min].tolist()))
+        subset = st.lists(st.sampled_from(entries), min_size=min(2, len(entries)), max_size=6, unique=True)
+        values = sorted(draw(subset))
+    return kernel, values
+
+
+@seed(7)
+@given(nesting_cases())
+@settings(max_examples=150, deadline=None)
+def test_verify_nesting_matches_brute_force(case):
+    kernel, values = case
+    with tempfile.TemporaryDirectory() as directory:
+        code, payload = verify_with_thresholds(kernel, values, Path(directory))
+    expected = brute_nesting(kernel, values)
+    assert payload["checks"]["level_nesting"] is expected
+    assert code == (0 if payload["passed"] else 1)
+    assert expected or code == 1
 
 
 def test_compare_f_vs_e_matched_interval(k60_csv, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_csv_round_trip_bit_exact(tmp_path):
     m = tmp_path / "m.csv"
     write_matrix_csv(vals, m)
     assert np.array_equal(read_matrix_csv(m).view(np.uint64), vals.view(np.uint64))
+
+
+def test_matrix_csv_write_memory_is_row_sized(tmp_path):
+    n = 300
+    vals = np.random.default_rng(3).random((n, n))
+    p = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        write_matrix_csv(vals, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+    assert np.array_equal(read_matrix_csv(p), vals)
 
 
 def test_json_round_trip(tmp_path):

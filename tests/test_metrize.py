@@ -19,7 +19,6 @@ from graphmetrize import (
     compute_lambda_sequence,
     delta_matrix,
     lambda_from_json,
-    lambda_inverse,
     lambda_to_json,
     level_relations,
     level_set,
@@ -28,12 +27,14 @@ from graphmetrize import (
     verify_equivalence,
     verify_sandwich,
 )
+from graphmetrize.metrize import _inverse_indices
 
 from conftest import (
     brute_power3,
     brute_quasi_triangle_constant,
     exact_chain_metric,
     exhaustive_chain_metric,
+    metrizable_kernels,
     random_kernel,
     reference_chain_weights,
     reference_sandwich,
@@ -118,28 +119,21 @@ def test_lambda_band_and_override_options():
 
 def test_lambda_inverse_script_examples():
     seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
-    assert lambda_inverse(1.0, seq, "script") == 2
-    assert lambda_inverse(0.5, seq, "script") == 1
-    assert lambda_inverse(0.1, seq, "script") == 0
-    assert lambda_inverse(7.0, seq, "script") == 2
+    t = np.array([1.0, 0.5, 0.1, 7.0])
+    assert _inverse_indices(seq.values, t, "script").tolist() == [2, 1, 0, 2]
 
 
 def test_lambda_inverse_upper_and_lower():
     seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
-    assert lambda_inverse(0.0, seq, "upper") == 0
-    assert lambda_inverse(1.0 / 3.0, seq, "upper") == 0
-    assert lambda_inverse(0.5, seq, "upper") == 1
-    assert lambda_inverse(7.0, seq, "upper") == 1
-    assert lambda_inverse(0.5, seq, "lower") == 0
-    assert lambda_inverse(7.0, seq, "lower") == 0
+    t = np.array([0.0, 1.0 / 3.0, 0.5, 7.0])
+    assert _inverse_indices(seq.values, t, "upper").tolist() == [0, 0, 1, 1]
+    assert _inverse_indices(seq.values, t[2:], "lower").tolist() == [0, 0]
 
 
-def test_lambda_inverse_rejects_negative_and_unknown_variant():
+def test_lambda_inverse_rejects_unknown_variant():
     seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
-    with pytest.raises(DomainError):
-        lambda_inverse(-0.1, seq)
     with pytest.raises(InvalidParameterError):
-        lambda_inverse(0.5, seq, "sideways")
+        _inverse_indices(seq.values, np.array([0.5]), "sideways")
 
 
 def test_delta_4x4_script_values():
@@ -254,34 +248,6 @@ def test_sandwich_level_zero_ball_absorbs_everything():
 
 
 @st.composite
-def metrizable_kernels(draw, n):
-    """Kernels that pass the sweep's flags, with ties and zeros.
-
-    Entries come from a grid of a few values, so ties are common, and 0
-    is allowed everywhere off the tridiagonal.  The base is uniform or
-    decays like 1 / |i - j| (which gives several levels); either may be
-    cut to a band or given dense diagonal blocks.  The diagonal equals
-    or exceeds the row maximum.
-    """
-    grid = draw(st.integers(1, 4))
-    cells = np.array(draw(st.lists(st.integers(0, grid), min_size=n * n, max_size=n * n)), dtype=float)
-    vals = np.triu(cells.reshape(n, n), 1)
-    vals = vals + vals.T
-    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    if draw(st.booleans()):
-        vals = np.maximum(np.floor(4 * grid / np.maximum(gaps, 1)) - vals % 2, 0.0)
-    shape = draw(st.sampled_from(("plain", "banded", "block")))
-    if shape == "banded":
-        vals[gaps > draw(st.integers(1, n))] = 0.0
-    elif shape == "block":
-        block = np.arange(n) // draw(st.integers(1, n))
-        vals = np.where(block[:, None] == block[None, :], vals.max(), np.minimum(vals, 1.0))
-    vals[gaps == 1] = np.maximum(vals[gaps == 1], 1.0)
-    np.fill_diagonal(vals, vals.max() + draw(st.integers(0, 1)))
-    return affinity_matrix(vals / grid)
-
-
-@st.composite
 def sandwich_cases(draw):
     """A kernel, a sequence and a metric, matched or not.
 
@@ -380,7 +346,20 @@ def test_chain_metric_memory_is_quadratic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26 * n * n
+    assert peak < 22 * n * n
+
+
+def test_delta_matrix_memory_is_quadratic():
+    n = 300
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    tracemalloc.start()
+    try:
+        delta_matrix(kernel, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * n * n
 
 
 def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
