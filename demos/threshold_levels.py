@@ -10,7 +10,6 @@ import numpy as np
 
 from graphmetrize import (
     compute_lambda_sequence,
-    level_relations,
     newtonian_kernel,
     validate_kernel,
 )
@@ -32,10 +31,9 @@ def main():
 
     print("\nThe n=60 level sets, seen as bands around the diagonal:")
     kernel, seq = describe(60)
-    for idx, relation in enumerate(level_relations(kernel, seq)):
-        row = relation.bits[30]
-        width = int(row.sum())
-        print(f"  U({idx}) at threshold {seq.values[idx]:.6f}: "
+    for idx, t in enumerate(seq.values):
+        width = int((kernel.values[30] >= t).sum())
+        print(f"  U({idx}) at threshold {t:.6f}: "
               f"row 30 relates to {width} vertices")
 
     print("\nThe seed threshold is the tridiagonal minimum; a five-diagonal")

@@ -141,11 +141,13 @@ def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:
     lines = ["graph affinity {", "  node [style=filled];"]
     for v in range(kernel.n):
         lines.append(f"  {v} [fillcolor={bands.palette[bands.band_of[v]]}];")
-    # Row by row: index lists for all n**2 / 2 edges at once would outweigh the text.
+    # One string per row: index lists or strings for all n**2 / 2 edges would outweigh the text.
     for i, row in enumerate(np.triu(kernel.values > 0, 1)):
-        lines.extend(f"  {i} -- {j};" for j in np.flatnonzero(row).tolist())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        targets = np.flatnonzero(row).tolist()
+        if targets:
+            lines.append("\n".join(f"  {i} -- {j};" for j in targets))
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def bands_to_json(bands: AnnulusBands) -> str:

@@ -134,15 +134,48 @@ def read_matrix_csv(path) -> np.ndarray:
     return arr
 
 
+class _ReprCache(dict):
+    """Map from a float to its repr, filled on a miss while it holds fewer than cap entries.
+
+    Zeros are never kept: 0.0 == -0.0 as dict keys, so a kept 0.0 would
+    print -0.0 as "0.0".  Neither is NaN, which equals nothing and so
+    never hits.  misses_when_full counts the misses that found no room.
+    """
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+        self.misses_when_full = 0
+
+    def __missing__(self, value: float) -> str:
+        word = repr(value)
+        if len(self) >= self.cap:
+            self.misses_when_full += 1
+        elif value and value == value:
+            self[value] = word
+        return word
+
+
 def write_matrix_csv(values, path) -> None:
     """Write a matrix as headerless CSV, one row per line.
 
-    Floats are written with repr so a read back is bit-exact.
+    Floats are written with repr so a read back is bit-exact.  Kernels
+    and the metrics built from them repeat a few values many times, so
+    each distinct value is formatted once, through a cache of at most
+    one row's length.  A row that misses on more than half its entries
+    once the cache is full means mostly distinct values, and the rest of
+    the matrix is formatted with plain repr.
     """
     arr = np.asarray(values, dtype=np.float64)
+    words = _ReprCache(arr.shape[-1])
+    fmt = words.__getitem__
     with open(path, "w") as handle:
         for row in arr:
-            handle.write(",".join(map(repr, row.tolist())) + "\n")
+            words.misses_when_full = 0
+            handle.write(",".join(map(fmt, row.tolist())) + "\n")
+            if 2 * words.misses_when_full > row.size:
+                fmt = repr
+                words.clear()
 
 
 def load_affinity(path, fmt: str | None = None) -> AffinityMatrix:

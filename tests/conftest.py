@@ -7,8 +7,10 @@ small cases are exhaustive over simple paths, the chain metric's
 one-step weights count the thresholds at or below each affinity and are
 closed by scipy's Floyd-Warshall or one over Python integers, diffusion
 distances difference every pair of coordinate rows explicitly, the
-quasi-triangle constant is a plain loop over every triple, and the
-sandwich scans every level set {K >= lambda(j)} for every ball.
+quasi-triangle constant is a plain loop over every triple, the
+equivalence constants divide every off-diagonal pair, the
+sandwich scans every level set {K >= lambda(j)} for every ball, and
+the CSV writer formats every entry with repr.
 """
 
 import itertools
@@ -80,6 +82,14 @@ def metrizable_kernels(draw, n):
     vals[gaps == 1] = np.maximum(vals[gaps == 1], 1.0)
     np.fill_diagonal(vals, vals.max() + draw(st.integers(0, 1)))
     return affinity_matrix(vals / grid)
+
+
+def reference_write_matrix_csv(values, path):
+    """CSV writer without a cache: repr of every entry, one row per line."""
+    arr = np.asarray(values, dtype=np.float64)
+    with open(path, "w") as handle:
+        for row in arr:
+            handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def brute_compose(left_bits, right_bits):
@@ -177,6 +187,18 @@ def brute_quasi_triangle_constant(values):
                 if denom > 0:
                     worst = max(worst, rows[x][z] / denom)
     return worst
+
+
+def brute_equivalence(delta, metric):
+    """Equivalence report fields from d / delta over every off-diagonal pair, in Python floats."""
+    ratios = [
+        d / q
+        for x, (d_row, q_row) in enumerate(zip(metric.values.tolist(), delta.values.tolist()))
+        for y, (d, q) in enumerate(zip(d_row, q_row))
+        if x != y
+    ]
+    c_lo, c_hi = min(ratios), max(ratios)
+    return {"c_lo": c_lo, "c_hi": c_hi, "pairs": len(ratios), "passed": 0.125 <= c_lo and c_hi <= 2.0}
 
 
 def reference_sandwich(kernel, seq, metric):

@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from graphmetrize import (
     DomainError,
     InvalidParameterError,
     affinity_bands,
+    affinity_matrix,
     annuli,
     bands_to_dot,
     bands_to_json,
@@ -17,6 +21,8 @@ from graphmetrize import (
     euclidean_distances,
     newtonian_kernel,
 )
+
+from conftest import metrizable_kernels
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +176,37 @@ def test_affinity_bands_partition_and_monotone(k60):
         assert all(bands.band_of[v] == seq.k + 2 - script[v] for v in ties)
 
 
+@st.composite
+def ball_cases(draw):
+    """A metrizable kernel, its sweep, a center and a radius in (0, 1]: dyadic, beside a dyadic one, or any."""
+    n = draw(st.integers(2, 10))
+    kernel = draw(metrizable_kernels(n))
+    seq = compute_lambda_sequence(kernel, draw(st.sampled_from((3, 5))))
+    center = draw(st.integers(0, n - 1))
+    dyadic = 2.0 ** -draw(st.integers(0, seq.k + 2))
+    beside = (dyadic, float(np.nextafter(dyadic, 0.0)), min(float(np.nextafter(dyadic, 2.0)), 1.0))
+    radius = draw(st.sampled_from(beside) | st.floats(5e-324, 1.0))
+    return kernel, seq, center, radius
+
+
+@seed(9)
+@given(ball_cases())
+@settings(max_examples=300, deadline=None)
+def test_delta_ball_and_bands_match_delta_sublevel_sets(case):
+    kernel, seq, center, radius = case
+    row = delta_matrix(kernel, seq).values[center]
+    ball = delta_ball(kernel, seq, center, radius)
+    assert ball.members == {v for v in range(kernel.n) if row[v] < radius}
+    # Bands 0..b are the ball {delta < 2 ** -(k - b)} less the affinities tied with lambda(k - b).
+    band_of = np.array(affinity_bands(kernel, seq, center).band_of)
+    affinity = kernel.values[center]
+    for b in range(seq.k + 1):
+        level = seq.k - b
+        inner = {v for v in range(kernel.n) if row[v] < 2.0**-level and affinity[v] != seq.values[level]}
+        assert set(np.flatnonzero(band_of <= b).tolist()) == inner
+    assert band_of.max() <= seq.k + 1
+
+
 def test_palette_cycles_past_five_bands():
     bands = annuli(np.arange(10, dtype=float), [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
     assert bands.palette == (
@@ -189,6 +226,28 @@ def test_dot_export_contents():
     assert "2 -- 3;" in dot
     assert "->" not in dot
     assert dot == bands_to_dot(kernel, bands)
+    # Every byte against one line per positive pair, on a kernel with zero affinities.
+    vals = newtonian_kernel(7, 1.0).values * (np.add.outer(np.arange(7), np.arange(7)) % 3 != 0)
+    kernel = affinity_matrix(np.maximum(vals, np.eye(7, k=1) + np.eye(7, k=-1)) + np.eye(7))
+    bands = affinity_bands(kernel, compute_lambda_sequence(kernel), 3)
+    expected = ["graph affinity {", "  node [style=filled];"]
+    expected += [f"  {v} [fillcolor={bands.palette[b]}];" for v, b in enumerate(bands.band_of)]
+    expected += [f"  {i} -- {j};" for i in range(7) for j in range(i + 1, 7) if kernel.values[i, j] > 0]
+    assert bands_to_dot(kernel, bands) == "\n".join([*expected, "}"]) + "\n"
+
+
+def test_dot_export_memory_is_about_the_text():
+    n = 300
+    kernel = newtonian_kernel(n, 1.0)
+    bands = affinity_bands(kernel, compute_lambda_sequence(kernel), 0)
+    tracemalloc.start()
+    try:
+        dot = bands_to_dot(kernel, bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dot.count(" -- ") == n * (n - 1) // 2
+    assert peak < 3 * len(dot)
 
 
 def test_ball_and_bands_json(k60):

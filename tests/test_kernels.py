@@ -1,8 +1,12 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import graphmetrize
 from graphmetrize import (
@@ -11,13 +15,20 @@ from graphmetrize import (
     MatrixFormatError,
     SymmetryError,
     affinity_matrix,
+    chain_metric,
+    compute_lambda_sequence,
+    delta_matrix,
+    diffusion_distance_matrix,
     load_affinity,
     newtonian_kernel,
     read_matrix_csv,
     save_affinity,
+    spectral_decomposition,
     validate_kernel,
     write_matrix_csv,
 )
+
+from conftest import reference_write_matrix_csv
 
 
 def test_public_names_resolve():
@@ -176,6 +187,74 @@ def test_matrix_csv_write_memory_is_row_sized(tmp_path):
         tracemalloc.stop()
     assert peak < n * n
     assert np.array_equal(read_matrix_csv(p), vals)
+
+
+def test_matrix_csv_write_memory_is_row_sized_with_repeated_values(tmp_path):
+    n = 300
+    kernel = newtonian_kernel(n, 1.0)  # n distinct values: the cache fills and stays in use
+    p = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        write_matrix_csv(kernel.values, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+    assert np.array_equal(read_matrix_csv(p), kernel.values)
+
+
+def assert_csv_bytes_match_reference(values, directory):
+    ours, ref = Path(directory) / "ours.csv", Path(directory) / "ref.csv"
+    write_matrix_csv(values, ours)
+    reference_write_matrix_csv(values, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def written_matrices():
+    """The n = 800 pipeline matrices, which repeat few values, and two whose values are nearly all distinct."""
+    kernel = newtonian_kernel(800, 1.0)
+    seq = compute_lambda_sequence(kernel)
+    upper = np.triu(np.random.default_rng(8).random((300, 300)), 1)
+    return {
+        "kernel": kernel.values,
+        "delta": delta_matrix(kernel, seq).values,
+        "chain": chain_metric(kernel, seq).values,
+        "diffusion": diffusion_distance_matrix(spectral_decomposition(newtonian_kernel(200, 1.0)), 1.0),
+        "random": upper + upper.T,
+    }
+
+
+@pytest.mark.parametrize("name", ("kernel", "delta", "chain", "diffusion", "random"))
+def test_matrix_csv_bytes_match_reference(written_matrices, name, tmp_path):
+    assert_csv_bytes_match_reference(written_matrices[name], tmp_path)
+
+
+def test_matrix_csv_signed_zeros_and_special_floats(tmp_path):
+    # Zeros of both signs in both orders among repeated values: a cached 0.0 would print -0.0 as 0.0.
+    vals = np.array([
+        [0.0, -0.0, 1.5, 1.5, 0.0, -0.0, 1.5, 0.25],
+        [-0.0, 0.0, 1.5, -0.0, 1.5, 0.0, 0.25, 0.25],
+        [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 5e-324, np.inf, -np.inf, np.inf, -np.inf],
+        [np.nan, -np.nan, np.nan, 1.5, 0.0, -0.0, np.nan, 1.5],
+    ])
+    assert_csv_bytes_match_reference(vals, tmp_path)
+    lines = (tmp_path / "ours.csv").read_text().splitlines()
+    assert lines[0] == "0.0,-0.0,1.5,1.5,0.0,-0.0,1.5,0.25"
+    assert lines[1] == "-0.0,0.0,1.5,-0.0,1.5,0.0,0.25,0.25"
+
+
+CSV_VALUE_POOL = (0.0, -0.0, 1.0, 0.5, -1.0 / 3.0, 2.0**-60, 5e-324, np.inf, -np.inf, np.nan)
+
+
+@seed(8)
+@given(st.integers(1, 12).flatmap(
+    lambda cols: st.lists(st.lists(st.sampled_from(CSV_VALUE_POOL), min_size=cols, max_size=cols),
+                          min_size=1, max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_bytes_match_reference_property(rows):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_csv_bytes_match_reference(np.array(rows), directory)
 
 
 def test_json_round_trip(tmp_path):

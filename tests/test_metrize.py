@@ -30,6 +30,7 @@ from graphmetrize import (
 from graphmetrize.metrize import _inverse_indices
 
 from conftest import (
+    brute_equivalence,
     brute_power3,
     brute_quasi_triangle_constant,
     exact_chain_metric,
@@ -388,6 +389,27 @@ def test_equivalence_4x4_ratios_pass():
     assert report.c_lo == 1.0
     assert report.c_hi == 1.0
     assert report.pairs == 12
+
+
+@st.composite
+def equivalence_cases(draw):
+    """Delta of a metrizable kernel, maybe scaled by a power of two, and the chain metric of it or of another kernel."""
+    n = draw(st.integers(2, 10))
+    kernel = draw(metrizable_kernels(n))
+    band = draw(st.sampled_from((3, 5)))
+    dm = delta_matrix(kernel, compute_lambda_sequence(kernel, band))
+    scale = draw(st.sampled_from((1.0, 0.0625, 16.0)))
+    other = draw(st.just(kernel) | metrizable_kernels(n))
+    delta = QuasiMetricMatrix(n=n, values=dm.values * scale, variant=dm.variant)
+    return delta, chain_metric(other, compute_lambda_sequence(other, band))
+
+
+@seed(7)
+@given(equivalence_cases())
+@settings(max_examples=300, deadline=None)
+def test_equivalence_matches_brute_force_ratios(case):
+    delta, metric = case
+    assert dataclasses.asdict(verify_equivalence(delta, metric)) == brute_equivalence(delta, metric)
 
 
 def test_equivalence_detects_scaled_violation():
