@@ -60,19 +60,13 @@ from .metrize import (
     delta_matrix,
     lambda_from_json,
     lambda_to_json,
+    level_nesting,
     level_relations,
     quasi_triangle_constant,
     verify_equivalence,
     verify_sandwich,
 )
-from .relations import (
-    BinaryRelation,
-    compose,
-    is_subset,
-    level_set,
-    power3,
-    relation_from_bits,
-)
+from .relations import is_subset, power3
 
 __version__ = "0.1.0"
 
@@ -80,7 +74,6 @@ __all__ = [
     "AffinityMatrix",
     "AnnulusBands",
     "BallResult",
-    "BinaryRelation",
     "DegenerateVertexError",
     "DomainError",
     "EquivalenceReport",
@@ -103,7 +96,6 @@ __all__ = [
     "bands_to_dot",
     "bands_to_json",
     "chain_metric",
-    "compose",
     "compute_lambda_sequence",
     "decomposition_from_json",
     "decomposition_to_json",
@@ -117,14 +109,13 @@ __all__ = [
     "is_subset",
     "lambda_from_json",
     "lambda_to_json",
+    "level_nesting",
     "level_relations",
-    "level_set",
     "load_affinity",
     "newtonian_kernel",
     "power3",
     "quasi_triangle_constant",
     "read_matrix_csv",
-    "relation_from_bits",
     "save_affinity",
     "spectral_decomposition",
     "validate_kernel",

@@ -80,6 +80,16 @@ def euclidean_distances(n: int, center: int) -> np.ndarray:
     return np.abs(np.arange(int(n), dtype=np.float64) - float(center))
 
 
+def _bands(center: int, radii: np.ndarray, band_of: np.ndarray) -> AnnulusBands:
+    """AnnulusBands over len(radii) + 1 bands, the palette cycling past its last color."""
+    return AnnulusBands(
+        center=center,
+        radii=tuple(float(x) for x in radii),
+        band_of=tuple(int(b) for b in band_of),
+        palette=tuple(PALETTE[b % len(PALETTE)] for b in range(radii.size + 1)),
+    )
+
+
 def annuli(distances, radii, center: int | None = None) -> AnnulusBands:
     """Assign each vertex the count of radii at or below its distance."""
     row = np.asarray(distances, dtype=np.float64)
@@ -91,14 +101,7 @@ def annuli(distances, radii, center: int | None = None) -> AnnulusBands:
     if center is None:
         center = int(np.argmin(row))
     center = _check_center(center, row.size)
-    band_of = np.searchsorted(edges, row, side="right")
-    palette = tuple(PALETTE[b % len(PALETTE)] for b in range(edges.size + 1))
-    return AnnulusBands(
-        center=center,
-        radii=tuple(float(x) for x in edges),
-        band_of=tuple(int(b) for b in band_of),
-        palette=palette,
-    )
+    return _bands(center, edges, np.searchsorted(edges, row, side="right"))
 
 
 def affinity_bands(
@@ -118,14 +121,7 @@ def affinity_bands(
     center = _check_center(center, kernel.n)
     row = kernel.values[center]
     below = np.searchsorted(seq.values, row, side="left")
-    band_of = (seq.k + 1) - below
-    palette = tuple(PALETTE[b % len(PALETTE)] for b in range(seq.k + 2))
-    return AnnulusBands(
-        center=center,
-        radii=tuple(float(x) for x in seq.values),
-        band_of=tuple(int(b) for b in band_of),
-        palette=palette,
-    )
+    return _bands(center, seq.values, (seq.k + 1) - below)
 
 
 def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:

@@ -31,12 +31,12 @@ from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_ke
 from .metrize import (
     QuasiMetricMatrix,
     _band_min,
-    _sweep_step,
     chain_metric,
     compute_lambda_sequence,
     delta_matrix,
     lambda_from_json,
     lambda_to_json,
+    level_nesting,
     quasi_triangle_constant,
     verify_equivalence,
     verify_sandwich,
@@ -238,9 +238,7 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         _info(f"FAIL kernel flags: {', '.join(flags)}")
     else:
         seq = _sequence_for(args, kernel)
-        checks["level_nesting"] = all(
-            _sweep_step(kernel, seq.values[i]) >= seq.values[i - 1] for i in range(1, seq.k + 1)
-        )
+        checks["level_nesting"] = level_nesting(kernel, seq)
         pm = chain_metric(kernel, seq)
         dm = QuasiMetricMatrix(n=kernel.n, values=pm.chain_weights, variant="script")
         sandwich = verify_sandwich(kernel, seq, pm)

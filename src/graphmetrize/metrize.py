@@ -27,10 +27,8 @@ from .errors import (
     InvalidParameterError,
     MatrixFormatError,
     NonMetrizableError,
-    NumericError,
 )
 from .kernels import AffinityMatrix, _freeze, validate_kernel
-from .relations import BinaryRelation, level_set, power3
 
 INVERSE_VARIANTS = ("script", "upper", "lower")
 
@@ -136,12 +134,9 @@ def compute_lambda_sequence(
     kernel_min = float(kernel.values.min())
     descending = [seed]
     iterations = 0
-    cap = kernel.n ** 2
     while True:
         next_value = _sweep_step(kernel, descending[-1])
         iterations += 1
-        if iterations > cap:
-            raise NumericError(f"threshold sweep did not terminate within {cap} rounds")
         if next_value >= descending[-1]:
             break
         descending.append(next_value)
@@ -152,14 +147,28 @@ def compute_lambda_sequence(
 
 
 def _sweep_step(kernel: AffinityMatrix, threshold: float) -> float:
-    """Smallest affinity the cube of the level set {K >= threshold} reaches.
+    """Smallest affinity the cube of the level set {K >= threshold} reaches, inf if none.
 
-    U(i) o U(i) o U(i) lies inside U(i - 1) exactly when this is at least
-    lambda(i - 1).  While the threshold is at most the smallest diagonal
-    entry, the cube holds the diagonal and so is never empty.
+    While the threshold is at most the smallest diagonal entry, the cube
+    holds the diagonal and so is never empty.
     """
-    cube = power3(level_set(kernel, threshold))
-    return float(kernel.values[cube.bits].min())
+    return float(kernel.values.min(where=_cube(kernel.values >= threshold), initial=np.inf))
+
+
+def _cube(bits: np.ndarray) -> np.ndarray:
+    """U o U o U for a square bool U, by float32 products of 0/1 indicators (exact for n < 2 ** 24)."""
+    ind = bits.astype(np.float32)
+    square = (ind @ ind > 0).astype(np.float32)
+    return square @ ind > 0
+
+
+def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
+    """True when U(i) o U(i) o U(i) lies inside U(i - 1) at every level i = 1 .. k.
+
+    That holds exactly when the sweep's step from lambda(i), the smallest
+    affinity the cube of U(i) reaches, is at least lambda(i - 1).
+    """
+    return all(_sweep_step(kernel, seq.values[i]) >= seq.values[i - 1] for i in range(1, seq.k + 1))
 
 
 def _band_min(kernel: AffinityMatrix, half: int) -> float:
@@ -168,9 +177,9 @@ def _band_min(kernel: AffinityMatrix, half: int) -> float:
     return float(min(v.diagonal(offset).min(initial=np.inf) for offset in range(-half, half + 1)))
 
 
-def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[BinaryRelation]:
-    """The nested level sets U(0) .. U(k) at the sequence thresholds."""
-    return [level_set(kernel, float(t)) for t in seq.values]
+def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[np.ndarray]:
+    """The nested level sets U(0) .. U(k) at the sequence thresholds, as read-only bool matrices."""
+    return [_freeze(kernel.values >= t, bool) for t in seq.values]
 
 
 def _inverse_indices(values: np.ndarray, t: np.ndarray, variant: str) -> np.ndarray:
@@ -265,7 +274,7 @@ def verify_equivalence(
     """Extremes of d / delta off the diagonal, tested against the dyadic band."""
     if delta.n != metric.n:
         raise InvalidParameterError(f"sizes differ: delta {delta.n}, metric {metric.n}")
-    mask = metric.values > 0.0
+    mask = ~np.eye(metric.n, dtype=bool)
     if not mask.any():
         return EquivalenceReport(c_lo=float("nan"), c_hi=float("nan"), pairs=0, passed=True)
     ratios = metric.values[mask] / delta.values[mask]

@@ -20,8 +20,8 @@ from graphmetrize import (
     delta_matrix,
     lambda_from_json,
     lambda_to_json,
+    level_nesting,
     level_relations,
-    level_set,
     newtonian_kernel,
     quasi_triangle_constant,
     verify_equivalence,
@@ -81,6 +81,16 @@ def test_lambda_triple_composition_nesting_brute_force():
         for i in range(1, seq.k + 1):
             cube = brute_power3(levels[i])
             assert (levels[i - 1] | ~cube).all()
+        assert level_nesting(kernel, seq)
+    # {K >= 1} is the tridiagonal, whose cube reaches |i - j| = 3 with K = 1/3 < 1/2.
+    kernel = newtonian_kernel(10, 1.0, 2.0)
+    broken = LambdaSequence(values=np.array([1 / 9, 1 / 2, 1.0]), iterations=0)
+    assert not (kernel.values >= 1 / 2)[brute_power3(kernel.values >= 1.0)].all()
+    assert not level_nesting(kernel, broken)
+    # {K >= 3} is empty above the diagonal of 2, and so is its cube: nesting holds there vacuously.
+    above = LambdaSequence(values=np.array([1 / 9, 1.0, 3.0]), iterations=0)
+    assert not brute_power3(kernel.values >= 3.0).any()
+    assert level_nesting(kernel, above)
 
 
 def test_strict_form_restatement():
@@ -90,11 +100,11 @@ def test_strict_form_restatement():
     kernel = newtonian_kernel(9, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
     distinct = np.unique(kernel.values)
+    levels = level_relations(kernel, seq)
     for i in range(1, seq.k + 1):
         below = distinct[distinct < seq.values[i]]
         assert below.size
-        nonstrict = level_set(kernel, float(seq.values[i]))
-        assert np.array_equal(nonstrict.bits, kernel.values > below[-1])
+        assert np.array_equal(levels[i], kernel.values > below[-1])
 
 
 def test_lambda_rejects_bad_kernels():
@@ -245,7 +255,7 @@ def test_sandwich_level_zero_ball_absorbs_everything():
     pm = chain_metric(kernel, seq)
     assert pm.values.max() < 1.0
     levels = level_relations(kernel, seq)
-    assert levels[0].bits.all()
+    assert levels[0].all()
 
 
 @st.composite
@@ -393,7 +403,11 @@ def test_equivalence_4x4_ratios_pass():
 
 @st.composite
 def equivalence_cases(draw):
-    """Delta of a metrizable kernel, maybe scaled by a power of two, and the chain metric of it or of another kernel."""
+    """Delta of a metrizable kernel, maybe scaled by a power of two, and the chain metric of it or of another kernel.
+
+    The metric may have one symmetric off-diagonal pair set to zero, as a
+    pseudo-metric allows; that pair still counts and breaks the band.
+    """
     n = draw(st.integers(2, 10))
     kernel = draw(metrizable_kernels(n))
     band = draw(st.sampled_from((3, 5)))
@@ -401,7 +415,13 @@ def equivalence_cases(draw):
     scale = draw(st.sampled_from((1.0, 0.0625, 16.0)))
     other = draw(st.just(kernel) | metrizable_kernels(n))
     delta = QuasiMetricMatrix(n=n, values=dm.values * scale, variant=dm.variant)
-    return delta, chain_metric(other, compute_lambda_sequence(other, band))
+    metric = chain_metric(other, compute_lambda_sequence(other, band))
+    if draw(st.booleans()):
+        x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        values = metric.values.copy()
+        values[x, y] = values[y, x] = 0.0
+        metric = dataclasses.replace(metric, values=values)
+    return delta, metric
 
 
 @seed(7)
