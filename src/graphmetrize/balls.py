@@ -138,10 +138,11 @@ def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:
     for v in range(kernel.n):
         lines.append(f"  {v} [fillcolor={bands.palette[bands.band_of[v]]}];")
     # One string per row: index lists or strings for all n**2 / 2 edges would outweigh the text.
+    names = [str(v) for v in range(kernel.n)]
     for i, row in enumerate(np.triu(kernel.values > 0, 1)):
         targets = np.flatnonzero(row).tolist()
         if targets:
-            lines.append("\n".join(f"  {i} -- {j};" for j in targets))
+            lines.append(f"  {i} -- " + f";\n  {i} -- ".join(map(names.__getitem__, targets)) + ";")
     lines.append("}\n")
     return "\n".join(lines)
 

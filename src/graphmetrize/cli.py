@@ -243,6 +243,7 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         dm = QuasiMetricMatrix(n=kernel.n, values=pm.chain_weights, variant="script")
         sandwich = verify_sandwich(kernel, seq, pm)
         equivalence = verify_equivalence(dm, pm)
+        del pm  # the quasi-triangle products read only the one-step weights
         constant = quasi_triangle_constant(dm) if kernel.n >= 3 else 1.0
         checks["sandwich"] = sandwich.passed
         checks["equivalence"] = equivalence.passed

@@ -8,6 +8,7 @@ and is expected to dominate its row.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -121,7 +122,29 @@ def validate_kernel(kernel: AffinityMatrix) -> ValidationReport:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless comma-separated matrix of floats; empty lines are skipped."""
+    """Read a headerless comma-separated matrix of floats; empty lines are skipped.
+
+    A square table is parsed through a cache of one row's length.  The rest goes to
+    np.loadtxt, which words the errors: cells float() rejects or reads otherwise (1_0,
+    a lone \\r), ragged or non-square rows, no rows, rows mostly missing a full cache.
+    """
+    with open(path, "rb") as handle:
+        lines = filter(None, (line.rstrip(b"\r\n") for line in handle))
+        first = next(lines, b"")
+        width = first.count(b",") + 1
+        rows = width if width * (2 * width - 1) <= Path(path).stat().st_size else 0  # bytes a square table needs
+        arr, cells = np.empty((rows, width)), _Cache(float, width)
+        try:
+            for row, line in enumerate(itertools.chain([first], lines)):
+                cells.misses_when_full = 0
+                arr[row] = list(map(cells.__getitem__, line.split(b",")))
+                if b"_" in line or b"\r" in line or 2 * cells.misses_when_full > width:
+                    raise ValueError("left to np.loadtxt")
+            if row + 1 == width:
+                return arr
+        except (ValueError, IndexError):  # a bad cell, a ragged row, or too many rows
+            pass
+    del arr, cells  # before np.loadtxt allocates its own
     with warnings.catch_warnings():
         # An empty file only warns; it is rejected below.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -134,26 +157,26 @@ def read_matrix_csv(path) -> np.ndarray:
     return arr
 
 
-class _ReprCache(dict):
-    """Map from a float to its repr, filled on a miss while it holds fewer than cap entries.
+class _Cache(dict):
+    """Map from a key to convert(key), filled on a miss while it holds fewer than cap entries.
 
     Zeros are never kept: 0.0 == -0.0 as dict keys, so a kept 0.0 would
     print -0.0 as "0.0".  Neither is NaN, which equals nothing and so
     never hits.  misses_when_full counts the misses that found no room.
     """
 
-    def __init__(self, cap: int):
-        super().__init__()
+    def __init__(self, convert, cap: int):
+        self.convert = convert
         self.cap = cap
         self.misses_when_full = 0
 
-    def __missing__(self, value: float) -> str:
-        word = repr(value)
+    def __missing__(self, key):
+        value = self.convert(key)
         if len(self) >= self.cap:
             self.misses_when_full += 1
-        elif value and value == value:
-            self[value] = word
-        return word
+        elif key and key == key:
+            self[key] = value
+        return value
 
 
 def write_matrix_csv(values, path) -> None:
@@ -167,7 +190,7 @@ def write_matrix_csv(values, path) -> None:
     the matrix is formatted with plain repr.
     """
     arr = np.asarray(values, dtype=np.float64)
-    words = _ReprCache(arr.shape[-1])
+    words = _Cache(repr, arr.shape[-1])
     fmt = words.__getitem__
     with open(path, "w") as handle:
         for row in arr:

@@ -182,24 +182,31 @@ def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[np.ndar
     return [_freeze(kernel.values >= t, bool) for t in seq.values]
 
 
+def _row_blocks(n: int):
+    """Row slices of an n x n array, about 8192 entries each, with the masks of their off-diagonal entries."""
+    step = max(1, 8192 // n)
+    for start in range(0, n, step):
+        yield slice(start, start + step), np.arange(start, min(start + step, n))[:, None] != np.arange(n)
+
+
 def _inverse_indices(values: np.ndarray, t: np.ndarray, variant: str) -> np.ndarray:
-    k = values.size - 1
-    if variant == "script":
-        return np.searchsorted(values, t, side="right")
-    if variant == "upper":
-        return np.minimum(np.searchsorted(values, t, side="left"), k)
-    if variant == "lower":
-        return np.clip(np.searchsorted(values, t, side="left") - 1, 0, max(k - 1, 0))
-    raise InvalidParameterError(
-        f"variant must be one of {INVERSE_VARIANTS}, got {variant!r}"
-    )
+    """Per entry of t, how many of the variant's cuts lie below it (or at it: script), in the narrowest int type for k + 2."""
+    cuts = {"script": values, "upper": values[:-1], "lower": values[1:-1]}
+    if variant not in cuts:
+        raise InvalidParameterError(f"variant must be one of {INVERSE_VARIANTS}, got {variant!r}")
+    index = np.zeros(np.shape(t), np.min_scalar_type(-(values.size + 2)))  # -(k + 3) fits iff k + 2 does
+    above = np.greater_equal if variant == "script" else np.greater
+    for cut in cuts[variant]:
+        index += above(t, cut)
+    return index
 
 
 def delta_matrix(
     kernel: AffinityMatrix, seq: LambdaSequence, variant: str = "script"
 ) -> QuasiMetricMatrix:
     """Dyadic quasi-metric 2 ** -inverse(K) with the diagonal forced to zero."""
-    vals = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values, variant))
+    index = _inverse_indices(seq.values, kernel.values, variant)
+    vals = np.ldexp(1.0, np.negative(index, out=index))
     np.fill_diagonal(vals, 0.0)
     vals.setflags(write=False)
     return QuasiMetricMatrix(n=kernel.n, values=vals, variant=variant)
@@ -225,8 +232,10 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     fits = [t for t in (np.int16, np.int32, np.int64) if 2 ** (scale + 1) <= np.iinfo(t).max]
     if not fits:
         raise InvalidParameterError(f"chain closure needs at most 61 thresholds (k <= 60), got k = {seq.k}")
-    weights = delta_matrix(kernel, seq, "script").values
-    dist = np.ldexp(weights, scale).astype(fits[0])
+    dist = np.left_shift(1, scale - _inverse_indices(seq.values, kernel.values, "script"), dtype=fits[0])
+    np.fill_diagonal(dist, 0)
+    weights = np.ldexp(dist, -scale, dtype=np.float64)
+    weights.setflags(write=False)
     tmp = np.empty_like(dist)
     for mid in range(kernel.n):
         np.add(dist[:, mid, None], dist[mid], out=tmp)
@@ -271,17 +280,18 @@ def verify_sandwich(
 def verify_equivalence(
     delta: QuasiMetricMatrix, metric: PseudoMetricMatrix
 ) -> EquivalenceReport:
-    """Extremes of d / delta off the diagonal, tested against the dyadic band."""
+    """Extremes of d / delta off the diagonal, taken in row blocks, tested against the dyadic band."""
     if delta.n != metric.n:
         raise InvalidParameterError(f"sizes differ: delta {delta.n}, metric {metric.n}")
-    mask = ~np.eye(metric.n, dtype=bool)
-    if not mask.any():
+    if metric.n < 2:
         return EquivalenceReport(c_lo=float("nan"), c_hi=float("nan"), pairs=0, passed=True)
-    ratios = metric.values[mask] / delta.values[mask]
-    c_lo = float(ratios.min())
-    c_hi = float(ratios.max())
+    c_lo, c_hi = np.inf, -np.inf
+    for rows, off in _row_blocks(metric.n):
+        ratios = np.divide(metric.values[rows], delta.values[rows], out=None, where=off)
+        c_lo = float(np.minimum(c_lo, ratios.min(where=off, initial=np.inf)))  # np.minimum keeps a NaN
+        c_hi = float(np.maximum(c_hi, ratios.max(where=off, initial=-np.inf)))
     passed = c_lo >= EQUIVALENCE_LOWER and c_hi <= EQUIVALENCE_UPPER
-    return EquivalenceReport(c_lo=c_lo, c_hi=c_hi, pairs=int(mask.sum()), passed=passed)
+    return EquivalenceReport(c_lo=c_lo, c_hi=c_hi, pairs=metric.n * (metric.n - 1), passed=passed)
 
 
 def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
@@ -294,16 +304,16 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     delta(x, z) among them over v[p] + v[q] bounds C from below, and at
     the worst triple's hops it is C, by the same float division.  Pairs
     go by ascending v[p] + v[q] and stop once max(v) over the sum cannot
-    win.  Counts are exact for n < 2**24, and two n x n indicators are
-    alive at a time.  The cost is up to m**2 products for m distinct
-    values: a few dozen for delta_matrix output (at most k + 2 values),
-    but slow for a general matrix with m near n**2 / 2.
+    win.  Counts are exact for n < 2**24; two n x n indicators are alive
+    at a time, beside a level index of one byte per entry for m <= 126.
+    The cost is up to m**2 products for m distinct values: a few dozen
+    for delta_matrix output (at most k + 2), slow for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
     vals = delta.values
-    distinct = np.unique(vals[~np.eye(delta.n, dtype=bool)])
-    level = np.searchsorted(distinct, vals)
+    distinct = _distinct(np.concatenate([_distinct(vals[rows][off]) for rows, off in _row_blocks(delta.n)]))
+    level = _inverse_indices(distinct, vals, "upper")  # distinct[p] is at level p
     np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
     # For symmetric delta, pair (q, p) reaches the transpose of what (p, q) reaches: visit q >= p only.
     symmetric = np.array_equal(vals, vals.T)
@@ -324,6 +334,12 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
         if top >= 0:
             worst = max(worst, float(distinct[top] / total))
     return worst
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array, as np.unique finds them but without importing numpy.ma (1.3 MB)."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
 
 
 def lambda_to_json(seq: LambdaSequence) -> str:

@@ -1,5 +1,5 @@
 """Shared fixtures: the random kernel corpus, a Hypothesis strategy for
-metrizable kernels, and independent oracles.
+metrizable kernels, a tracemalloc peak helper, and independent oracles.
 
 The oracles deliberately avoid the library's own code paths: composition
 runs as a plain triple loop over python lists, shortest paths in the
@@ -14,6 +14,7 @@ the CSV writer formats every entry with repr.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ def metrizable_kernels(draw, n):
     vals[gaps == 1] = np.maximum(vals[gaps == 1], 1.0)
     np.fill_diagonal(vals, vals.max() + draw(st.integers(0, 1)))
     return affinity_matrix(vals / grid)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_write_matrix_csv(values, path):

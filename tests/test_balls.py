@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from graphmetrize import (
     newtonian_kernel,
 )
 
-from conftest import metrizable_kernels
+from conftest import metrizable_kernels, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -240,12 +239,8 @@ def test_dot_export_memory_is_about_the_text():
     n = 300
     kernel = newtonian_kernel(n, 1.0)
     bands = affinity_bands(kernel, compute_lambda_sequence(kernel), 0)
-    tracemalloc.start()
-    try:
-        dot = bands_to_dot(kernel, bands)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(bands_to_dot, kernel, bands)
+    dot = bands_to_dot(kernel, bands)
     assert dot.count(" -- ") == n * (n - 1) // 2
     assert peak < 3 * len(dot)
 

@@ -23,7 +23,7 @@ from graphmetrize import (
 )
 from graphmetrize.cli import jaccard, main
 
-from conftest import brute_power3, metrizable_kernels, tensor_diffusion_distances
+from conftest import brute_power3, metrizable_kernels, tensor_diffusion_distances, traced_peak
 
 
 def run(*args):
@@ -258,6 +258,15 @@ def test_verify_passes_on_newtonian(k60_csv, tmp_path):
     assert payload["passed"] is True
     assert payload["checks"]["sandwich"] is True
     assert payload["quasi_triangle_constant"] <= 2.0
+
+
+def test_verify_memory_is_quadratic(tmp_path):
+    n = 300
+    kernel, report = tmp_path / "k.csv", tmp_path / "report.json"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    peak = traced_peak(run, "verify", "-i", kernel, "-o", report)
+    assert json.loads(report.read_text())["passed"] is True
+    assert peak < 36 * n * n
 
 
 def test_verify_fails_on_bad_kernel(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from graphmetrize import (
 )
 from graphmetrize.cli import main
 
-from conftest import random_kernel, tensor_diffusion_distances
+from conftest import random_kernel, tensor_diffusion_distances, traced_peak
 
 
 def test_laplacian_all_ones_kernel():
@@ -143,12 +142,7 @@ def test_diffusion_matches_tensor_oracle(corpus):
 def test_diffusion_distance_memory_is_quadratic():
     n = 300
     decomp = spectral_decomposition(newtonian_kernel(n, 1.0, 2.0))
-    tracemalloc.start()
-    try:
-        diffusion_distance_matrix(decomp, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(diffusion_distance_matrix, decomp, 0.5)
     assert peak < 10 * n * n * 8
 
 

@@ -1,6 +1,5 @@
 import json
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from graphmetrize import (
     write_matrix_csv,
 )
 
-from conftest import reference_write_matrix_csv
+from conftest import reference_write_matrix_csv, traced_peak
 
 
 def test_public_names_resolve():
@@ -128,9 +127,11 @@ def test_load_rejects_non_square(tmp_path):
 
 def test_load_rejects_ragged(tmp_path):
     p = tmp_path / "k.csv"
-    p.write_text("1,2\n3\n")
-    with pytest.raises(MatrixFormatError):
-        load_affinity(p)
+    # In the second, the first four cells alone would fill a 2 x 2 matrix.
+    for text in ("1,2\n3\n", "2,1\n1,2,5\n"):
+        p.write_text(text)
+        with pytest.raises(MatrixFormatError):
+            load_affinity(p)
 
 
 def test_load_rejects_non_numeric(tmp_path):
@@ -179,12 +180,7 @@ def test_matrix_csv_write_memory_is_row_sized(tmp_path):
     n = 300
     vals = np.random.default_rng(3).random((n, n))
     p = tmp_path / "m.csv"
-    tracemalloc.start()
-    try:
-        write_matrix_csv(vals, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_matrix_csv, vals, p)
     assert peak < n * n
     assert np.array_equal(read_matrix_csv(p), vals)
 
@@ -193,14 +189,42 @@ def test_matrix_csv_write_memory_is_row_sized_with_repeated_values(tmp_path):
     n = 300
     kernel = newtonian_kernel(n, 1.0)  # n distinct values: the cache fills and stays in use
     p = tmp_path / "m.csv"
-    tracemalloc.start()
-    try:
-        write_matrix_csv(kernel.values, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_matrix_csv, kernel.values, p)
     assert peak < n * n
     assert np.array_equal(read_matrix_csv(p), kernel.values)
+
+
+@pytest.mark.parametrize("distinct", (False, True))
+def test_matrix_csv_read_memory_and_fallback(tmp_path, monkeypatch, distinct):
+    n = 300
+    # The kernel repeats n values and is read through the cache; all-distinct values go to np.loadtxt.
+    vals = np.random.default_rng(4).random((n, n)) if distinct else newtonian_kernel(n, 1.0).values
+    p = tmp_path / "m.csv"
+    write_matrix_csv(vals, p)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args) or loadtxt(*args, **kwargs))
+    peak = traced_peak(read_matrix_csv, p)
+    assert len(calls) == distinct
+    assert peak <= 10 * n * n
+    assert np.array_equal(read_matrix_csv(p), vals)
+
+
+def test_matrix_csv_read_wide_row_allocates_no_square(tmp_path):
+    # One row of 5000 cells is too short a file for a 5000 x 5000 table (200 MB): only the row is parsed.
+    vals = np.arange(5000.0)[None, :]
+    p = tmp_path / "m.csv"
+    write_matrix_csv(vals, p)
+    assert traced_peak(read_matrix_csv, p) < 2**20
+    assert np.array_equal(read_matrix_csv(p), vals)
+
+
+def test_matrix_csv_read_rejects_underscore_cells(tmp_path):
+    # float() reads "1_0" as 10.0; np.loadtxt, and so the reader, rejects it.
+    p = tmp_path / "m.csv"
+    p.write_text("2.0,1_0\n1_0,2.0\n")
+    with pytest.raises(MatrixFormatError):
+        read_matrix_csv(p)
 
 
 def assert_csv_bytes_match_reference(values, directory):
@@ -255,6 +279,44 @@ CSV_VALUE_POOL = (0.0, -0.0, 1.0, 0.5, -1.0 / 3.0, 2.0**-60, 5e-324, np.inf, -np
 def test_matrix_csv_bytes_match_reference_property(rows):
     with tempfile.TemporaryDirectory() as directory:
         assert_csv_bytes_match_reference(np.array(rows), directory)
+
+
+@st.composite
+def mangled_csv_texts(draw):
+    """write_matrix_csv output with LF, CRLF or CR line ends, blank lines and spaces around cells mixed in."""
+    rows = draw(st.integers(1, 7))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 7))
+    pool = st.sampled_from(CSV_VALUE_POOL) | st.floats(allow_nan=False, allow_infinity=False)
+    vals = np.array(draw(st.lists(pool, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.csv"
+        write_matrix_csv(vals, path)
+        lines = path.read_text().splitlines()
+    if draw(st.booleans()):
+        lines = [",".join(f" {cell}  " for cell in line.split(",")) for line in lines]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, draw(st.sampled_from(("", " ", "\r"))))
+    # A lone "\r" ends a line for np.loadtxt, while float() takes it for a space.
+    ends = st.sampled_from(("\n", "\r\n", "\r"))
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(ends | st.just(""))
+
+
+@seed(9)
+@given(mangled_csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_read_matches_loadtxt_property(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.csv"
+        path.write_bytes(text.encode())
+        try:
+            expected = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            with pytest.raises(MatrixFormatError):
+                read_matrix_csv(path)
+            return
+        got = read_matrix_csv(path)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_json_round_trip(tmp_path):

@@ -1,10 +1,10 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphmetrize import (
     DomainError,
@@ -40,6 +40,7 @@ from conftest import (
     reference_chain_weights,
     reference_sandwich,
     scipy_chain_metric,
+    traced_peak,
 )
 
 
@@ -145,6 +146,45 @@ def test_lambda_inverse_rejects_unknown_variant():
     seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
     with pytest.raises(InvalidParameterError):
         _inverse_indices(seq.values, np.array([0.5]), "sideways")
+
+
+def searchsorted_inverse(values, t, variant):
+    """The level index from one np.searchsorted call over all of t, in intp."""
+    k = values.size - 1
+    if variant == "script":
+        return np.searchsorted(values, t, side="right")
+    left = np.searchsorted(values, t, side="left")
+    return np.minimum(left, k) if variant == "upper" else np.clip(left - 1, 0, max(k - 1, 0))
+
+
+@seed(7)
+@given(
+    st.sets(st.integers(0, 12), min_size=1, max_size=13),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+               elements=st.integers(-1, 13).map(lambda x: x / 4.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_inverse_indices_match_searchsorted_property(grid, t):
+    # Thresholds and entries share a grid of quarters, so ties are common.
+    values = np.array(sorted(grid)) / 4.0
+    for variant in ("script", "upper", "lower"):
+        got = _inverse_indices(values, t, variant)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, searchsorted_inverse(values, t, variant))
+        assert got.shape == t.shape
+
+
+@pytest.mark.parametrize("size, dtype", ((126, np.int8), (127, np.int16)))
+def test_inverse_indices_widen_past_int8(size, dtype):
+    # k + 2 = 127 is the last that int8 holds.
+    rng = np.random.default_rng(size)
+    values = np.sort(rng.choice(1000, size, replace=False)) / 1000.0
+    t = rng.integers(-1, 1001, (100, 100)) / 1000.0
+    for variant in ("script", "upper", "lower"):
+        got = _inverse_indices(values, t, variant)
+        assert got.dtype == dtype
+        assert np.array_equal(got, searchsorted_inverse(values, t, variant))
+    assert _inverse_indices(values, t, "script").max() == size  # t reaches past the top threshold
 
 
 def test_delta_4x4_script_values():
@@ -351,12 +391,7 @@ def test_chain_metric_memory_is_quadratic():
     n = 300
     kernel = newtonian_kernel(n, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
-    tracemalloc.start()
-    try:
-        chain_metric(kernel, seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(chain_metric, kernel, seq)
     assert peak < 22 * n * n
 
 
@@ -364,13 +399,17 @@ def test_delta_matrix_memory_is_quadratic():
     n = 300
     kernel = newtonian_kernel(n, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
-    tracemalloc.start()
-    try:
-        delta_matrix(kernel, seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 17 * n * n
+    peak = traced_peak(delta_matrix, kernel, seq)
+    assert peak < 10 * n * n
+
+
+def test_sandwich_and_equivalence_memory_is_a_few_bytes_per_pair():
+    n = 300
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    dm, pm = delta_matrix(kernel, seq), chain_metric(kernel, seq)
+    assert traced_peak(verify_sandwich, kernel, seq, pm) < 5 * n * n
+    assert traced_peak(verify_equivalence, dm, pm) < 5 * n * n
 
 
 def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
@@ -486,13 +525,8 @@ def test_quasi_triangle_memory_is_quadratic():
     n = 300
     kernel = newtonian_kernel(n, 1.0, 2.0)
     dm = delta_matrix(kernel, compute_lambda_sequence(kernel))
-    tracemalloc.start()
-    try:
-        quasi_triangle_constant(dm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * n * n
+    peak = traced_peak(quasi_triangle_constant, dm)
+    assert peak < 16 * n * n
 
 
 def test_quasi_triangle_requires_three_vertices():
