@@ -29,7 +29,7 @@ from .diffusion import (
 from .errors import GraphMetrizeError, InvalidParameterError, NumericError
 from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_kernel, write_matrix_csv
 from .metrize import (
-    QuasiMetricMatrix,
+    INVERSE_VARIANTS,
     _band_min,
     chain_metric,
     compute_lambda_sequence,
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="dyadic quasi-metric matrix")
     add_kernel_input(p)
     add_sequence_options(p)
-    p.add_argument("--variant", choices=("script", "upper", "lower"), default="script")
+    p.add_argument("--variant", choices=INVERSE_VARIANTS, default="script")
     p.add_argument("-o", "--output", required=True, type=Path, help="distance CSV output")
 
     p = sub.add_parser("chain", help="chain pseudo-metric matrix")
@@ -185,12 +185,11 @@ def cmd_delta(args: argparse.Namespace, kernel) -> int:
 
 def cmd_chain(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
-    pm = chain_metric(kernel, seq)
-    write_matrix_csv(pm.values, args.output)
-    if args.weights_output is not None:
-        write_matrix_csv(pm.chain_weights, args.weights_output)
-        _info(f"one-step weights -> {args.weights_output}")
+    write_matrix_csv(chain_metric(kernel, seq).values, args.output)
     _info(f"chain metric for n={kernel.n} -> {args.output}")
+    if args.weights_output is not None:
+        write_matrix_csv(delta_matrix(kernel, seq).values, args.weights_output)
+        _info(f"one-step weights -> {args.weights_output}")
     return EXIT_OK
 
 
@@ -238,12 +237,14 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         _info(f"FAIL kernel flags: {', '.join(flags)}")
     else:
         seq = _sequence_for(args, kernel)
-        checks["level_nesting"] = level_nesting(kernel, seq)
+        # A swept sequence nests by construction, since lambda(i - 1) is the value that
+        # _sweep_step(lambda(i)) returned; a --lambda file comes from outside and is checked.
+        checks["level_nesting"] = args.lambda_path is None or level_nesting(kernel, seq)
+        dm = delta_matrix(kernel, seq)
         pm = chain_metric(kernel, seq)
-        dm = QuasiMetricMatrix(n=kernel.n, values=pm.chain_weights, variant="script")
         sandwich = verify_sandwich(kernel, seq, pm)
         equivalence = verify_equivalence(dm, pm)
-        del pm  # the quasi-triangle products read only the one-step weights
+        del pm  # the quasi-triangle products read only delta
         constant = quasi_triangle_constant(dm) if kernel.n >= 3 else 1.0
         checks["sandwich"] = sandwich.passed
         checks["equivalence"] = equivalence.passed

@@ -23,7 +23,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    convention: str = "raw"
 
 
 def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
@@ -48,7 +47,7 @@ def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
     return kernel.values * np.outer(inv_sqrt, inv_sqrt) - np.eye(kernel.n)
 
 
-def eig_symmetric(matrix: np.ndarray, convention: str = "raw") -> SpectralDecomposition:
+def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
     A LAPACK convergence failure is raised as NumericError.
@@ -57,8 +56,6 @@ def eig_symmetric(matrix: np.ndarray, convention: str = "raw") -> SpectralDecomp
     ----------
     matrix : ndarray
         Real symmetric matrix; asymmetry beyond 1e-12 is rejected.
-    convention : str
-        Tag recorded on the decomposition, not used numerically.
 
     Returns
     -------
@@ -77,13 +74,12 @@ def eig_symmetric(matrix: np.ndarray, convention: str = "raw") -> SpectralDecomp
     return SpectralDecomposition(
         eigenvalues=_freeze(eigenvalues),
         eigenvectors=_freeze(eigenvectors),
-        convention=convention,
     )
 
 
 def spectral_decomposition(kernel: AffinityMatrix) -> SpectralDecomposition:
     """Eigendecomposition of the normalized generator of a kernel."""
-    return eig_symmetric(graph_laplacian(kernel), convention="symmetric_normalized")
+    return eig_symmetric(graph_laplacian(kernel))
 
 
 def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.ndarray:
@@ -115,7 +111,6 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
 def decomposition_to_json(decomp: SpectralDecomposition) -> str:
     payload = {
-        "convention": decomp.convention,
         "eigenvalues": [float(x) for x in decomp.eigenvalues],
         "eigenvectors": decomp.eigenvectors.tolist(),
     }
@@ -123,6 +118,7 @@ def decomposition_to_json(decomp: SpectralDecomposition) -> str:
 
 
 def decomposition_from_json(text: str) -> SpectralDecomposition:
+    """Read decomposition_to_json output; other keys, such as the "convention" older files carry, are ignored."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -132,5 +128,4 @@ def decomposition_from_json(text: str) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=_freeze(np.array(payload["eigenvalues"], dtype=np.float64)),
         eigenvectors=_freeze(np.array(payload["eigenvectors"], dtype=np.float64)),
-        convention=str(payload.get("convention", "raw")),
     )

@@ -52,12 +52,16 @@ def _freeze(values: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 def affinity_matrix(values) -> AffinityMatrix:
-    """Wrap a raw square array as an AffinityMatrix, enforcing the invariants.
+    """Wrap a copy of a raw square array as an AffinityMatrix, enforcing the invariants.
 
     Symmetry is checked exactly, not to a tolerance: a kernel that was
     built symmetrically stays bit-identical under transposition.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    return _checked(np.array(values, dtype=np.float64))
+
+
+def _checked(arr: np.ndarray) -> AffinityMatrix:
+    """affinity_matrix for a float64 array that nothing else holds: it is checked and frozen in place."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(f"affinity matrix must be square, got shape {arr.shape}")
     n = int(arr.shape[0])
@@ -73,7 +77,8 @@ def affinity_matrix(values) -> AffinityMatrix:
     if (arr < 0).any():
         i, j = map(int, np.argwhere(arr < 0)[0])
         raise DomainError(f"negative affinity at ({i}, {j}): {arr[i, j]!r}")
-    return AffinityMatrix(n=n, values=_freeze(arr))
+    arr.setflags(write=False)
+    return AffinityMatrix(n=n, values=arr)
 
 
 def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityMatrix:
@@ -95,7 +100,8 @@ def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityM
     with np.errstate(divide="ignore"):
         vals = gaps ** -float(alpha)
     np.fill_diagonal(vals, float(diag_value))
-    return AffinityMatrix(n=int(n), values=_freeze(vals))
+    vals.setflags(write=False)
+    return AffinityMatrix(n=int(n), values=vals)
 
 
 def validate_kernel(kernel: AffinityMatrix) -> ValidationReport:
@@ -225,7 +231,7 @@ def load_affinity(path, fmt: str | None = None) -> AffinityMatrix:
             )
     else:
         raise InvalidParameterError(f"unknown kernel format {fmt!r}")
-    return affinity_matrix(arr)
+    return _checked(arr)
 
 
 def save_affinity(kernel: AffinityMatrix, path, fmt: str | None = None) -> None:

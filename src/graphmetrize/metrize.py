@@ -59,16 +59,14 @@ class QuasiMetricMatrix:
 
     n: int
     values: np.ndarray
-    variant: str
 
 
 @dataclass(frozen=True)
 class PseudoMetricMatrix:
-    """Chain pseudo-metric with the one-step weights (the script delta) it was built from."""
+    """Chain pseudo-metric: shortest paths over the script delta."""
 
     n: int
     values: np.ndarray
-    chain_weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -209,16 +207,17 @@ def delta_matrix(
     vals = np.ldexp(1.0, np.negative(index, out=index))
     np.fill_diagonal(vals, 0.0)
     vals.setflags(write=False)
-    return QuasiMetricMatrix(n=kernel.n, values=vals, variant=variant)
+    return QuasiMetricMatrix(n=kernel.n, values=vals)
 
 
 def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMatrix:
     """Shortest-path pseudo-metric over one-step dyadic weights.
 
-    The one-step weights are the script delta: a pair whose deepest
-    containing level set is m gets weight 2 ** -(m + 1), and d is the
-    exact shortest path over those weights.  The half step is what makes
-    every level set m sit strictly inside the radius 2 ** -m ball of d.
+    The one-step weights are the script delta (delta_matrix, not kept
+    here): a pair whose deepest containing level set is m gets weight
+    2 ** -(m + 1), and d is the exact shortest path over those weights.
+    The half step is what makes every level set m sit strictly inside the
+    radius 2 ** -m ball of d.
 
     Scaled by 2 ** (k + 1), every off-diagonal weight is an integer in
     1 .. 2 ** (k + 1), so Floyd-Warshall runs in integers and is exact.
@@ -234,15 +233,13 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
         raise InvalidParameterError(f"chain closure needs at most 61 thresholds (k <= 60), got k = {seq.k}")
     dist = np.left_shift(1, scale - _inverse_indices(seq.values, kernel.values, "script"), dtype=fits[0])
     np.fill_diagonal(dist, 0)
-    weights = np.ldexp(dist, -scale, dtype=np.float64)
-    weights.setflags(write=False)
     tmp = np.empty_like(dist)
     for mid in range(kernel.n):
         np.add(dist[:, mid, None], dist[mid], out=tmp)
         np.minimum(dist, tmp, out=dist)
     values = np.ldexp(dist, -scale, dtype=np.float64)
     values.setflags(write=False)
-    return PseudoMetricMatrix(n=kernel.n, values=values, chain_weights=weights)
+    return PseudoMetricMatrix(n=kernel.n, values=values)
 
 
 def verify_sandwich(

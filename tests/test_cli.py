@@ -269,6 +269,27 @@ def test_verify_memory_is_quadratic(tmp_path):
     assert peak < 36 * n * n
 
 
+def test_chain_with_weights_memory_is_quadratic(tmp_path):
+    n = 300
+    kernel = tmp_path / "k.csv"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    peak = traced_peak(run, "chain", "-i", kernel, "-o", tmp_path / "d.csv", "--weights-output", tmp_path / "w.csv")
+    assert peak < 25 * n * n
+
+
+def test_verify_checks_nesting_only_for_a_lambda_file(k60_csv, tmp_path, monkeypatch):
+    calls = []
+    level_nesting = cli.level_nesting
+    monkeypatch.setattr(cli, "level_nesting", lambda kernel, seq: calls.append(seq) or level_nesting(kernel, seq))
+    lam, report = tmp_path / "l.json", tmp_path / "report.json"
+    assert run("lambda", "-i", k60_csv, "-o", lam) == 0
+    for extra, expected_calls in (((), 0), (("--lambda", lam), 1)):
+        calls.clear()
+        assert run("verify", "-i", k60_csv, *extra, "-o", report) == 0
+        assert len(calls) == expected_calls
+        assert json.loads(report.read_text())["checks"]["level_nesting"] is True
+
+
 def test_verify_fails_on_bad_kernel(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,0\n0,1\n")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -161,7 +162,6 @@ def test_diffusion_monotone_in_time():
 def test_spectral_decomposition_convention_and_spectrum():
     kernel = newtonian_kernel(20, 1.0, 2.0)
     decomp = spectral_decomposition(kernel)
-    assert decomp.convention == "symmetric_normalized"
     assert decomp.eigenvalues.min() >= -2.0 - 1e-10
     assert decomp.eigenvalues.max() <= 1e-10
 
@@ -182,4 +182,9 @@ def test_decomposition_json_round_trip():
     back = decomposition_from_json(decomposition_to_json(decomp))
     assert np.array_equal(back.eigenvalues, decomp.eigenvalues)
     assert np.array_equal(back.eigenvectors, decomp.eigenvectors)
-    assert back.convention == decomp.convention
+    payload = json.loads(decomposition_to_json(decomp))
+    assert "convention" not in payload
+    # eig.json files written before the tag was dropped carry it; they still read.
+    old = decomposition_from_json(json.dumps({**payload, "convention": "symmetric_normalized"}))
+    assert np.array_equal(old.eigenvalues, decomp.eigenvalues)
+    assert np.array_equal(old.eigenvectors, decomp.eigenvectors)

@@ -160,6 +160,24 @@ def test_affinity_rejects_non_finite():
         affinity_matrix([[1.0, np.inf], [np.inf, 1.0]])
 
 
+def test_affinity_matrix_copies_its_input():
+    arr = newtonian_kernel(5, 1.0).values.copy()
+    k = affinity_matrix(arr)
+    assert arr.flags.writeable
+    assert not np.shares_memory(k.values, arr)
+    assert not k.values.flags.writeable
+    arr[0, 1] = arr[1, 0] = 7.0
+    assert k.values[0, 1] == 1.0
+
+
+def test_load_and_newtonian_hold_the_kernel_once(tmp_path):
+    n = 300
+    p = tmp_path / "k.csv"
+    save_affinity(newtonian_kernel(n, 1.0), p)
+    assert traced_peak(load_affinity, p) < 11 * n * n
+    assert traced_peak(newtonian_kernel, n, 1.0) < 17 * n * n
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     k = newtonian_kernel(17, 0.7, 2.0)
     p = tmp_path / "k.csv"

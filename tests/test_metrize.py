@@ -27,7 +27,7 @@ from graphmetrize import (
     verify_equivalence,
     verify_sandwich,
 )
-from graphmetrize.metrize import _inverse_indices
+from graphmetrize.metrize import _band_min, _inverse_indices, _sweep_step
 
 from conftest import (
     brute_equivalence,
@@ -92,6 +92,31 @@ def test_lambda_triple_composition_nesting_brute_force():
     above = LambdaSequence(values=np.array([1 / 9, 1.0, 3.0]), iterations=0)
     assert not brute_power3(kernel.values >= 3.0).any()
     assert level_nesting(kernel, above)
+
+
+def assert_nests_by_construction(kernel, seq):
+    """lambda(i - 1) is the sweep's step from lambda(i) at every level, so level_nesting holds."""
+    assert [_sweep_step(kernel, t) for t in seq.values[1:]] == seq.values[:-1].tolist()
+    assert level_nesting(kernel, seq)
+
+
+@seed(8)
+@given(
+    st.integers(2, 10).flatmap(metrizable_kernels),
+    st.sampled_from((3, 5)),
+    st.none() | st.sampled_from((1.0, 0.5)) | st.floats(0.01, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_swept_sequence_nests_by_construction_property(kernel, band, fraction):
+    # verify reports a swept sequence's nesting without cubing its level sets again.
+    band_min = _band_min(kernel, (band - 1) // 2)
+    override = None if fraction is None or band_min == 0 else band_min * fraction
+    assert_nests_by_construction(kernel, compute_lambda_sequence(kernel, band, override))
+
+
+def test_swept_sequence_nests_by_construction_on_corpus(corpus_pipeline):
+    for kernel, seq, _, _ in corpus_pipeline:
+        assert_nests_by_construction(kernel, seq)
 
 
 def test_strict_form_restatement():
@@ -228,14 +253,13 @@ def test_delta_variants_differ_at_top():
     low = delta_matrix(kernel, seq, "lower")
     assert up.values[0, 1] == 0.5
     assert low.values[0, 1] == 1.0
-    assert up.variant == "upper"
 
 
 def test_chain_metric_4x4_matches_exhaustive_oracle():
     kernel = newtonian_kernel(4, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
     pm = chain_metric(kernel, seq)
-    oracle = exhaustive_chain_metric(pm.chain_weights)
+    oracle = exhaustive_chain_metric(delta_matrix(kernel, seq).values)
     assert np.array_equal(pm.values, oracle)
     assert pm.values[0, 1] == 0.25
     assert pm.values[0, 2] == 0.5
@@ -243,8 +267,8 @@ def test_chain_metric_4x4_matches_exhaustive_oracle():
 
 
 def test_chain_metric_matches_scipy_shortest_path(corpus_pipeline):
-    for kernel, seq, _, pm in corpus_pipeline:
-        assert np.array_equal(pm.chain_weights, reference_chain_weights(kernel, seq))
+    for kernel, seq, dm, pm in corpus_pipeline:
+        assert np.array_equal(dm.values, reference_chain_weights(kernel, seq))
         assert np.array_equal(pm.values, scipy_chain_metric(kernel, seq))
 
 
@@ -255,7 +279,7 @@ def test_chain_metric_structure(corpus):
         d = pm.values
         assert np.array_equal(d, d.T)
         assert (np.diagonal(d) == 0).all()
-        assert (d <= pm.chain_weights).all()
+        assert (d <= delta_matrix(kernel, seq).values).all()
         relaxed = d.copy()
         for mid in range(kernel.n):
             np.minimum(relaxed, relaxed[:, mid][:, None] + relaxed[mid, :][None, :], out=relaxed)
@@ -266,7 +290,7 @@ def test_chain_metric_two_vertices():
     kernel = affinity_matrix([[2.0, 1.0], [1.0, 2.0]])
     seq = compute_lambda_sequence(kernel)
     pm = chain_metric(kernel, seq)
-    assert pm.values[0, 1] == pm.chain_weights[0, 1]
+    assert pm.values[0, 1] == delta_matrix(kernel, seq).values[0, 1]
     assert pm.values[0, 0] == 0.0
 
 
@@ -332,11 +356,11 @@ def sandwich_cases(draw):
         metric = own
     elif choice == "scaled":
         factor = draw(st.sampled_from((0.125, 0.25, 4.0, 16.0)))
-        metric = PseudoMetricMatrix(n=n, values=own.values * factor, chain_weights=own.chain_weights)
+        metric = PseudoMetricMatrix(n=n, values=own.values * factor)
     elif choice == "other":
         metric = chain_metric(other, compute_lambda_sequence(other))
     else:
-        metric = PseudoMetricMatrix(n=n, values=np.ones((n, n)), chain_weights=np.ones((n, n)))
+        metric = PseudoMetricMatrix(n=n, values=np.ones((n, n)))
     return kernel, seq, metric
 
 
@@ -392,7 +416,7 @@ def test_chain_metric_memory_is_quadratic():
     kernel = newtonian_kernel(n, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
     peak = traced_peak(chain_metric, kernel, seq)
-    assert peak < 22 * n * n
+    assert peak < 14 * n * n
 
 
 def test_delta_matrix_memory_is_quadratic():
@@ -418,7 +442,7 @@ def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
         # Dropping the bottom threshold leaves pairs in no level set, so small balls
         # of a shrunken metric reach them and no level set holds the ball.
         top = LambdaSequence(values=seq.values[1:], iterations=seq.iterations)
-        shrunk = PseudoMetricMatrix(n=pm.n, values=pm.values * 0.125, chain_weights=pm.chain_weights)
+        shrunk = PseudoMetricMatrix(n=pm.n, values=pm.values * 0.125)
         for s, metric in ((seq, pm), (seq, shrunk), (top, pm), (top, shrunk)):
             report = verify_sandwich(kernel, s, metric)
             expected = reference_sandwich(kernel, s, metric)
@@ -453,7 +477,7 @@ def equivalence_cases(draw):
     dm = delta_matrix(kernel, compute_lambda_sequence(kernel, band))
     scale = draw(st.sampled_from((1.0, 0.0625, 16.0)))
     other = draw(st.just(kernel) | metrizable_kernels(n))
-    delta = QuasiMetricMatrix(n=n, values=dm.values * scale, variant=dm.variant)
+    delta = QuasiMetricMatrix(n=n, values=dm.values * scale)
     metric = chain_metric(other, compute_lambda_sequence(other, band))
     if draw(st.booleans()):
         x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
@@ -475,7 +499,7 @@ def test_equivalence_detects_scaled_violation():
     kernel = newtonian_kernel(4, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
     dm = delta_matrix(kernel, seq)
-    scaled = QuasiMetricMatrix(n=dm.n, values=dm.values * 100.0, variant=dm.variant)
+    scaled = QuasiMetricMatrix(n=dm.n, values=dm.values * 100.0)
     report = verify_equivalence(scaled, chain_metric(kernel, seq))
     assert not report.passed
 
@@ -489,7 +513,7 @@ def test_quasi_triangle_4x4_is_one():
 def test_quasi_triangle_on_true_metric_at_most_one():
     coords = np.array([0.0, 1.0, 3.5, 4.0, 9.0])
     dist = np.abs(coords[:, None] - coords[None, :])
-    qm = QuasiMetricMatrix(n=5, values=dist, variant="script")
+    qm = QuasiMetricMatrix(n=5, values=dist)
     assert quasi_triangle_constant(qm) <= 1.0
 
 
@@ -501,8 +525,8 @@ def euclidean_quasi_metrics(rng):
             pts = rng.random((n, 2))
             pts[:repeats] = pts[n - 1]
             dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            out.append(QuasiMetricMatrix(n=n, values=dist, variant="script"))
-    out.append(QuasiMetricMatrix(n=3, values=np.zeros((3, 3)), variant="script"))
+            out.append(QuasiMetricMatrix(n=n, values=dist))
+    out.append(QuasiMetricMatrix(n=3, values=np.zeros((3, 3))))
     return out
 
 
@@ -516,7 +540,7 @@ def test_quasi_triangle_matches_brute_force_oracle(corpus):
     cases += euclidean_quasi_metrics(rng)
     asymmetric = np.round(rng.random((9, 9)), 1)
     np.fill_diagonal(asymmetric, 0.0)
-    cases.append(QuasiMetricMatrix(n=9, values=asymmetric, variant="script"))
+    cases.append(QuasiMetricMatrix(n=9, values=asymmetric))
     for qm in cases:
         assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(qm.values)
 
@@ -530,7 +554,7 @@ def test_quasi_triangle_memory_is_quadratic():
 
 
 def test_quasi_triangle_requires_three_vertices():
-    qm = QuasiMetricMatrix(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]), variant="script")
+    qm = QuasiMetricMatrix(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
         quasi_triangle_constant(qm)
 
