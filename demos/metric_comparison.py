@@ -45,10 +45,10 @@ def main():
     for q in range(1, seq.k + 2):
         f_ball = delta_ball(kernel, seq, center, 2.0 ** -q)
         width = max(abs(v - center) for v in f_ball.members)
-        e_ball = distance_ball(euclid, center, width + 1.0, "E")
+        e_ball = distance_ball(euclid, center, width + 1.0)
         best = 0.0
         for r in np.linspace(dt[center].min() + 1e-9, dt[center].max() + 1e-9, 200):
-            d_ball = distance_ball(dt[center], center, float(r), "D")
+            d_ball = distance_ball(dt[center], center, float(r))
             best = max(best, jaccard(f_ball.members, d_ball.members))
         print(f"  {q}  2^-{q}        {len(f_ball.members):3d}    "
               f"{jaccard(f_ball.members, e_ball.members):.2f}   {best:.2f}")

@@ -21,7 +21,6 @@ class BallResult:
     center: int
     radius: float
     members: frozenset
-    metric: str
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,17 @@ def delta_ball(
         raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
     row = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values[center], "script"))
     row[center] = 0.0
-    return distance_ball(row, center, r, "F")
+    return distance_ball(row, center, r)
 
 
-def distance_ball(distances, center: int, r: float, metric: str) -> BallResult:
+def distance_ball(distances, center: int, r: float) -> BallResult:
     """Open ball {v : distances[v] < r} for a precomputed distance row."""
     row = np.asarray(distances, dtype=np.float64)
     center = _check_center(center, row.size)
     if r <= 0:
         raise InvalidParameterError(f"radius must be positive, got {r!r}")
     members = frozenset(int(j) for j in np.nonzero(row < r)[0])
-    return BallResult(center=center, radius=float(r), members=members, metric=metric)
+    return BallResult(center=center, radius=float(r), members=members)
 
 
 def euclidean_distances(n: int, center: int) -> np.ndarray:

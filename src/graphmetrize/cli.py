@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kernel_input(p):
-        p.add_argument("-i", "--input", required=True, type=Path, help="kernel file (CSV or JSON)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), help="kernel format, default from suffix")
+        p.add_argument("-i", "--input", required=True, type=Path, help="kernel CSV file")
 
     def add_sequence_options(p):
         p.add_argument("--lambda", dest="lambda_path", type=Path,
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="decay exponent")
     p.add_argument("--diag", type=float, default=2.0, help="diagonal value")
     p.add_argument("-o", "--output", required=True, type=Path)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     p = sub.add_parser("lambda", help="compute the threshold sequence")
     add_kernel_input(p)
@@ -163,7 +161,7 @@ def _distance_row(metric: str, args: argparse.Namespace, kernel):
 
 def cmd_gen(args: argparse.Namespace) -> int:
     kernel = newtonian_kernel(args.n, args.alpha, args.diag)
-    save_affinity(kernel, args.output, args.fmt)
+    save_affinity(kernel, args.output)
     _info(f"wrote {kernel.n}x{kernel.n} kernel to {args.output}")
     return EXIT_OK
 
@@ -280,7 +278,7 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
         balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
     for metric, radius in (("D", args.radius_d), ("E", args.radius_e)):
         if radius is not None:
-            balls[metric] = distance_ball(_distance_row(metric, args, kernel), args.center, radius, metric)
+            balls[metric] = distance_ball(_distance_row(metric, args, kernel), args.center, radius)
     if len(balls) < 2:
         raise InvalidParameterError("compare needs radii for at least two of F, D, E")
     overlaps = {}
@@ -318,7 +316,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return cmd_gen(args)
-        return COMMANDS[args.command](args, load_affinity(args.input, args.fmt))
+        return COMMANDS[args.command](args, load_affinity(args.input))
     except NumericError as exc:
         _info(f"numeric error: {exc}")
         return EXIT_NUMERIC

@@ -44,13 +44,16 @@ def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
         vertex = int(np.argmin(degrees))
         raise DegenerateVertexError(f"vertex {vertex} has zero total affinity")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    return kernel.values * np.outer(inv_sqrt, inv_sqrt) - np.eye(kernel.n)
+    generator = np.outer(inv_sqrt, inv_sqrt)
+    generator *= kernel.values
+    generator.flat[:: kernel.n + 1] -= 1.0  # in place: no n x n identity
+    return generator
 
 
 def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
-    A LAPACK convergence failure is raised as NumericError.
+    eigh reads one triangle and the symmetry check vouches for the other; a LAPACK failure is NumericError.
 
     Parameters
     ----------
@@ -62,13 +65,13 @@ def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
     SpectralDecomposition
         Eigenvalues ascending with orthonormal eigenvector columns.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12:
         raise DomainError("matrix is not symmetric within 1e-12")
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
     return SpectralDecomposition(

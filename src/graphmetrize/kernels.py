@@ -9,7 +9,6 @@ and is expected to dominate its row.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,42 +206,11 @@ def write_matrix_csv(values, path) -> None:
                 words.clear()
 
 
-def load_affinity(path, fmt: str | None = None) -> AffinityMatrix:
-    """Load a kernel from CSV or JSON; fmt is inferred from the suffix when None."""
-    p = Path(path)
-    if fmt is None:
-        fmt = "json" if p.suffix.lower() == ".json" else "csv"
-    if fmt == "csv":
-        arr = read_matrix_csv(p)
-    elif fmt == "json":
-        try:
-            payload = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"invalid JSON in {p}: {exc}") from exc
-        if not isinstance(payload, dict) or "values" not in payload:
-            raise MatrixFormatError(f"kernel JSON must be an object with 'values': {p}")
-        try:
-            arr = np.array(payload["values"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise MatrixFormatError(f"non-numeric kernel values in {p}: {exc}") from exc
-        if "n" in payload and arr.shape[:1] != (payload["n"],):
-            raise MatrixFormatError(
-                f"declared n={payload['n']!r} does not match values of shape {arr.shape}"
-            )
-    else:
-        raise InvalidParameterError(f"unknown kernel format {fmt!r}")
-    return _checked(arr)
+def load_affinity(path) -> AffinityMatrix:
+    """Load a kernel from a headerless CSV file, whatever its suffix."""
+    return _checked(read_matrix_csv(path))
 
 
-def save_affinity(kernel: AffinityMatrix, path, fmt: str | None = None) -> None:
-    """Write a kernel to CSV or JSON; fmt is inferred from the suffix when None."""
-    p = Path(path)
-    if fmt is None:
-        fmt = "json" if p.suffix.lower() == ".json" else "csv"
-    if fmt == "csv":
-        write_matrix_csv(kernel.values, p)
-    elif fmt == "json":
-        payload = {"n": kernel.n, "values": kernel.values.tolist()}
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        raise InvalidParameterError(f"unknown kernel format {fmt!r}")
+def save_affinity(kernel: AffinityMatrix, path) -> None:
+    """Write a kernel as headerless CSV, whatever the path's suffix."""
+    write_matrix_csv(kernel.values, path)

@@ -154,10 +154,13 @@ def _sweep_step(kernel: AffinityMatrix, threshold: float) -> float:
 
 
 def _cube(bits: np.ndarray) -> np.ndarray:
-    """U o U o U for a square bool U, by float32 products of 0/1 indicators (exact for n < 2 ** 24)."""
+    """U o U o U for a square bool U: where the float32 path counts of its 0/1 indicator are > 0.
+
+    Every term is a product of nonnegative counts, so a sum with a path in it
+    is >= 1 however it rounds, and no count overflows for an n that fits in memory.
+    """
     ind = bits.astype(np.float32)
-    square = (ind @ ind > 0).astype(np.float32)
-    return square @ ind > 0
+    return ind @ ind @ ind > 0
 
 
 def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:

@@ -37,7 +37,6 @@ def test_delta_ball_matches_sublevel_set(k60):
     expected = {y for y in range(60) if dm.values[50, y] < 2.0 ** -3}
     assert ball.members == expected
     assert sorted(ball.members) == list(range(47, 54))
-    assert ball.metric == "F"
 
 
 def test_delta_ball_radius_one_covers_everything(k60):
@@ -98,9 +97,8 @@ def test_delta_ball_rejects_bad_inputs(k60):
 
 def test_distance_ball_strict_sublevel():
     row = np.array([0.0, 1.0, 2.0, 3.0])
-    ball = distance_ball(row, 0, 2.0, "E")
+    ball = distance_ball(row, 0, 2.0)
     assert ball.members == {0, 1}
-    assert ball.metric == "E"
 
 
 def test_euclidean_distances_examples():

@@ -1,8 +1,10 @@
 """The benchmark under bench/ calls the library by name; a removed name or result field would only show there as failed ops.
 
 The names bench/ uses are found by parsing its sources.  Its workloads
-module is also loaded by path and run at a tiny size: the corpus's
-library calls, and the path workload's CLI commands with its own checks.
+module is also loaded by path and run: the corpus's library calls and
+the path workload's CLI commands at a tiny size, and the spectral
+workload's CLI commands at the n = 200 its radii are tuned for, each with
+its own checks.
 """
 
 import ast
@@ -67,6 +69,16 @@ def test_bench_corpus_verifies_through_the_library(workloads):
 def test_bench_path_workload_passes_its_checks(workloads, tmp_path):
     workload = workloads.PathWorkload(n=60)
     params = workload.params(1)
+    for name, argv in workload.commands(tmp_path, params):
+        assert main(argv) == 0, name
+    checks = workload.checks(tmp_path, params, workload.oracle())
+    assert {name: check() for name, check in checks.items()} == {name: [] for name in checks}
+
+
+def test_bench_spectral_workload_passes_its_checks(workloads, tmp_path):
+    workload = workloads.SpectralWorkload()
+    params = workload.params(1)
+    assert main(workload.setup_argv(tmp_path)) == 0
     for name, argv in workload.commands(tmp_path, params):
         assert main(argv) == 0, name
     checks = workload.checks(tmp_path, params, workload.oracle())

@@ -418,6 +418,13 @@ def test_malformed_kernel_json_exits_two(tmp_path):
     assert run("lambda", "-i", bad, "-o", tmp_path / "l.json") == 2
 
 
+def test_kernel_file_is_csv_whatever_its_suffix(tmp_path):
+    for name in ("k.csv", "k.json"):
+        assert run("gen", "--n", 12, "--alpha", 1, "-o", tmp_path / name) == 0
+    assert (tmp_path / "k.json").read_bytes() == (tmp_path / "k.csv").read_bytes()
+    assert run("lambda", "-i", tmp_path / "k.json", "-o", tmp_path / "l.json") == 0
+
+
 def test_out_of_range_center_exits_two(k60_csv, tmp_path):
     for metric in ("D", "E"):
         assert run("balls", "-i", k60_csv, "--center", 60, "--metric", metric,

@@ -93,6 +93,12 @@ def test_eig_agrees_with_library_solver():
     decomp = eig_symmetric(sym)
     expected = np.linalg.eigvalsh(sym)
     assert np.allclose(decomp.eigenvalues, expected, rtol=0, atol=1e-9)
+    # An exactly symmetric matrix goes to eigh as it is: the same bits as calling eigh directly.
+    for matrix in (sym, graph_laplacian(random_kernel(rng, 60))):
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+        decomp = eig_symmetric(matrix)
+        assert np.array_equal(decomp.eigenvalues, eigenvalues)
+        assert np.array_equal(decomp.eigenvectors, eigenvectors)
 
 
 def test_eig_lapack_failure_is_numeric_error(tmp_path, monkeypatch):
@@ -145,6 +151,14 @@ def test_diffusion_distance_memory_is_quadratic():
     decomp = spectral_decomposition(newtonian_kernel(n, 1.0, 2.0))
     peak = traced_peak(diffusion_distance_matrix, decomp, 0.5)
     assert peak < 10 * n * n * 8
+
+
+def test_spectral_memory_builds_each_square_array_once():
+    """At the peak: the generator and the two temporaries of its symmetry check, with no identity, copy or average."""
+    n = 300
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    assert traced_peak(graph_laplacian, kernel) < 11 * n * n
+    assert traced_peak(spectral_decomposition, kernel) < 26 * n * n
 
 
 def test_diffusion_monotone_in_time():

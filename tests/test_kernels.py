@@ -337,30 +337,13 @@ def test_matrix_csv_read_matches_loadtxt_property(text):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_json_round_trip(tmp_path):
-    k = newtonian_kernel(6, 1.0, 2.0)
-    p = tmp_path / "k.json"
-    save_affinity(k, p)
-    payload = json.loads(p.read_text())
-    assert payload["n"] == 6
-    back = load_affinity(p)
-    assert np.array_equal(back.values, k.values)
-
-
-def test_json_rejects_mismatched_n(tmp_path):
+def test_json_kernel_file_raises_matrix_format_error(tmp_path):
     p = tmp_path / "k.json"
     for payload in ({"n": 3, "values": [[2, 1], [1, 2]]}, {"n": 2, "values": 5},
                     {"n": 2, "values": [[2, 1], [1]]}, {"values": 5}):
         p.write_text(json.dumps(payload))
         with pytest.raises(MatrixFormatError):
             load_affinity(p)
-
-
-def test_unknown_format_rejected(tmp_path):
-    p = tmp_path / "k.csv"
-    p.write_text("2,1\n1,2\n")
-    with pytest.raises(InvalidParameterError):
-        load_affinity(p, fmt="parquet")
 
 
 def test_matrix_csv_preserves_awkward_floats(tmp_path):
