@@ -238,11 +238,14 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         # A swept sequence nests by construction, since lambda(i - 1) is the value that
         # _sweep_step(lambda(i)) returned; a --lambda file comes from outside and is checked.
         checks["level_nesting"] = args.lambda_path is None or level_nesting(kernel, seq)
-        dm = delta_matrix(kernel, seq)
+        # The chain closure and the sandwich check run before delta is built, and the chain
+        # metric is dropped before the quasi-triangle products, which read only delta: neither
+        # cubic stage holds both beside its own buffers.
         pm = chain_metric(kernel, seq)
         sandwich = verify_sandwich(kernel, seq, pm)
+        dm = delta_matrix(kernel, seq)
         equivalence = verify_equivalence(dm, pm)
-        del pm  # the quasi-triangle products read only delta
+        del pm
         constant = quasi_triangle_constant(dm) if kernel.n >= 3 else 1.0
         checks["sandwich"] = sandwich.passed
         checks["equivalence"] = equivalence.passed

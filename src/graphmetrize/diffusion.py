@@ -68,16 +68,17 @@ def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12:
+    asymmetry = np.subtract(a, a.T)
+    if float(np.abs(asymmetry, out=asymmetry).max(initial=0.0)) > 1e-12:
         raise DomainError("matrix is not symmetric within 1e-12")
+    del asymmetry
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(
-        eigenvalues=_freeze(eigenvalues),
-        eigenvectors=_freeze(eigenvectors),
-    )
+    eigenvalues.setflags(write=False)
+    eigenvectors.setflags(write=False)  # frozen in place: a copy would be the stage's peak
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def spectral_decomposition(kernel: AffinityMatrix) -> SpectralDecomposition:

@@ -130,10 +130,11 @@ def compute_lambda_sequence(
             )
 
     kernel_min = float(kernel.values.min())
+    buffers = _product_buffers(kernel.n)
     descending = [seed]
     iterations = 0
     while True:
-        next_value = _sweep_step(kernel, descending[-1])
+        next_value = _sweep_step(kernel, descending[-1], buffers)
         iterations += 1
         if next_value >= descending[-1]:
             break
@@ -144,23 +145,54 @@ def compute_lambda_sequence(
     return LambdaSequence(values=_freeze(descending[::-1]), iterations=iterations)
 
 
-def _sweep_step(kernel: AffinityMatrix, threshold: float) -> float:
+def _product_buffers(n: int) -> tuple:
+    """Two n x n float32 buffers and a flat one for a block of their product's rows (see _product_blocks).
+
+    A block is a quarter of the rows, but at least 128 rows, so that for
+    small n the per-call cost of more products does not outweigh their
+    work.  Each buffer is allocated on its own: one (3, n, n) block would
+    make glibc keep later n x n arrays on its heap instead of handing them
+    back.
+    """
+    rows = min(n, max(-(-n // 4), 128))
+    return np.empty((n, n), np.float32), np.empty((n, n), np.float32), np.empty(rows * n, np.float32)
+
+
+def _sweep_step(kernel: AffinityMatrix, threshold: float, buffers: tuple) -> float:
     """Smallest affinity the cube of the level set {K >= threshold} reaches, inf if none.
 
-    While the threshold is at most the smallest diagonal entry, the cube
-    holds the diagonal and so is never empty.
+    The cube is the positive entries of the float32 path counts of the
+    level set's 0/1 indicator.  Every term is a product of nonnegative
+    counts, so a sum with a path in it is >= 1 however it rounds.  The
+    kernel is symmetric (an AffinityMatrix invariant) and so are the
+    counts: those of length 3 are formed a row block at a time, on and
+    above the diagonal only, and only their running minimum of K is
+    kept.  While the threshold is at most the smallest diagonal entry,
+    the cube holds the diagonal and so is never empty.
     """
-    return float(kernel.values.min(where=_cube(kernel.values >= threshold), initial=np.inf))
+    ind, square, block = buffers  # from _product_buffers
+    values = kernel.values
+    np.greater_equal(values, threshold, out=ind)
+    np.matmul(ind, ind, out=square)
+    low = np.inf
+    for rows, cols, cube in _product_blocks(square, ind, block, upper=True):
+        low = min(low, values[rows, cols].min(where=cube > 0, initial=np.inf))
+    return float(low)
 
 
-def _cube(bits: np.ndarray) -> np.ndarray:
-    """U o U o U for a square bool U: where the float32 path counts of its 0/1 indicator are > 0.
+def _product_blocks(a: np.ndarray, b: np.ndarray, block: np.ndarray, upper: bool):
+    """Yield (rows, cols, a[rows] @ b[:, cols]) over the row blocks of the n x n product a @ b, each computed into block.
 
-    Every term is a product of nonnegative counts, so a sum with a path in it
-    is >= 1 however it rounds, and no count overflows for an n that fits in memory.
+    cols is every column, or with upper only the columns from rows.start
+    on: together those blocks hold every entry on and above the diagonal,
+    which is all of a symmetric product.
     """
-    ind = bits.astype(np.float32)
-    return ind @ ind @ ind > 0
+    n = a.shape[0]
+    step = block.size // n
+    for start in range(0, n, step):
+        rows, cols = slice(start, start + step), slice(start if upper else 0, n)
+        out = block[: min(step, n - start) * (n - cols.start)].reshape(-1, n - cols.start)
+        yield rows, cols, np.matmul(a[rows], b[:, cols], out=out)
 
 
 def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
@@ -169,7 +201,8 @@ def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
     That holds exactly when the sweep's step from lambda(i), the smallest
     affinity the cube of U(i) reaches, is at least lambda(i - 1).
     """
-    return all(_sweep_step(kernel, seq.values[i]) >= seq.values[i - 1] for i in range(1, seq.k + 1))
+    buffers = _product_buffers(kernel.n)
+    return all(_sweep_step(kernel, seq.values[i], buffers) >= seq.values[i - 1] for i in range(1, seq.k + 1))
 
 
 def _band_min(kernel: AffinityMatrix, half: int) -> float:
@@ -222,25 +255,42 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     The half step is what makes every level set m sit strictly inside the
     radius 2 ** -m ball of d.
 
-    Scaled by 2 ** (k + 1), every off-diagonal weight is an integer in
-    1 .. 2 ** (k + 1), so Floyd-Warshall runs in integers and is exact.
-    A relaxed sum is at most 2 ** (k + 2); the narrowest signed type that
-    holds it is used: int16 for k <= 12, int32 for k <= 28, int64 for
-    k <= 60.  Larger k raises InvalidParameterError.  The distances are
-    scaled back into float64, exactly for k <= 52 and rounded to nearest
-    from the exact integer beyond.
+    Scaled by 2 ** (k + 1), every weight is an integer power of two from
+    1 up to 2 ** top, where top is k + 1 less the lowest level index (k
+    when lambda(0) is at most the kernel minimum).  Floyd-Warshall runs
+    on these integers, stored less one, so it is exact: every stored
+    entry stays at most 2 ** top - 1, and a relaxed sum a + b is stored
+    as a' + b' + 1 < 2 ** (top + 1).  The narrowest unsigned type that
+    holds that is used: uint8 for top <= 7, uint16 for top <= 15, uint32
+    for top <= 31, uint64 beyond.  The diagonal keeps its own weight
+    during the closure, since a positive self-loop never shortens a path,
+    and is set to 0 after.  The kernel is symmetric and so is every step
+    of the closure, so the pivot's column is read from its row.  k > 60
+    raises InvalidParameterError.  The distances are scaled back into
+    float64, exactly for k <= 52 and rounded to nearest from the exact
+    integer beyond.
     """
-    scale = seq.k + 1
-    fits = [t for t in (np.int16, np.int32, np.int64) if 2 ** (scale + 1) <= np.iinfo(t).max]
-    if not fits:
+    if seq.k > 60:
         raise InvalidParameterError(f"chain closure needs at most 61 thresholds (k <= 60), got k = {seq.k}")
-    dist = np.left_shift(1, scale - _inverse_indices(seq.values, kernel.values, "script"), dtype=fits[0])
-    np.fill_diagonal(dist, 0)
+    scale = seq.k + 1
+    level = _inverse_indices(seq.values, kernel.values, "script")
+    top = scale - int(level.min())
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top < np.iinfo(t).bits)
+    # The shifts scale - level lie in 0 .. scale, so the unsafe cast to dtype is exact.
+    dist = np.left_shift(1, np.subtract(scale, level, out=level), dtype=dtype, casting="unsafe")
+    del level
+    dist -= 1
+    row = np.empty(kernel.n, dtype)
+    column = row[:, None]
     tmp = np.empty_like(dist)
-    for mid in range(kernel.n):
-        np.add(dist[:, mid, None], dist[mid], out=tmp)
+    for pivot in dist:
+        np.add(pivot, 1, out=row)
+        np.add(column, pivot, out=tmp)
         np.minimum(dist, tmp, out=dist)
+    del tmp
+    dist += 1
     values = np.ldexp(dist, -scale, dtype=np.float64)
+    np.fill_diagonal(values, 0.0)
     values.setflags(write=False)
     return PseudoMetricMatrix(n=kernel.n, values=values)
 
@@ -299,26 +349,33 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
 
     Needs at least 3 vertices; triples whose hops sum to zero are skipped.
     For distinct off-diagonal values v[p], v[q], the float32 product of
-    the 0/1 indicators {delta <= v[p]} and {delta <= v[q]} (diagonal
-    excluded) marks the pairs (x, z) that two such hops join; the largest
-    delta(x, z) among them over v[p] + v[q] bounds C from below, and at
-    the worst triple's hops it is C, by the same float division.  Pairs
-    go by ascending v[p] + v[q] and stop once max(v) over the sum cannot
-    win.  Counts are exact for n < 2**24; two n x n indicators are alive
-    at a time, beside a level index of one byte per entry for m <= 126.
+    the 0/1 indicators {delta <= v[p]} and {delta <= v[q]}, both with the
+    diagonal excluded, marks the pairs (x, z) that two such hops join.
+    The largest delta(x, z) among them, x != z, over v[p] + v[q] bounds C
+    from below, and at the worst triple's hops it is C, by the same float
+    division.  Pairs go by ascending v[p] + v[q] and stop once max(v)
+    over the sum cannot win.  Counts are exact for n < 2**24.
+
+    The two indicators are filled in place in two float32 buffers, and
+    their product is taken a block of rows at a time (_product_buffers)
+    with the diagonal zeroed per block, so two n x n float32 buffers and
+    a block are alive, beside a level index of one byte per entry for
+    m <= 126.  For symmetric delta and p == q the product is symmetric,
+    and only its entries on and above the diagonal are formed.
     The cost is up to m**2 products for m distinct values: a few dozen
     for delta_matrix output (at most k + 2), slow for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
-    vals = delta.values
-    distinct = _distinct(np.concatenate([_distinct(vals[rows][off]) for rows, off in _row_blocks(delta.n)]))
+    n, vals = delta.n, delta.values
+    distinct = _distinct(np.concatenate([_distinct(vals[rows][off]) for rows, off in _row_blocks(n)]))
     level = _inverse_indices(distinct, vals, "upper")  # distinct[p] is at level p
     np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
     # For symmetric delta, pair (q, p) reaches the transpose of what (p, q) reaches: visit q >= p only.
     symmetric = np.array_equal(vals, vals.T)
     starts = [p if symmetric else 0 for p in range(distinct.size)]
     heap = [(distinct[p] + distinct[q], p, q) for p, q in enumerate(starts)]
+    first, second, block = _product_buffers(n)
     worst = 0.0
     while heap:
         total, p, q = heapq.heappop(heap)
@@ -328,9 +385,12 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
             continue
         if distinct[-1] / total <= worst:
             break
-        reach = (level <= p).astype(np.float32) @ (level <= q).astype(np.float32) > 0
-        np.fill_diagonal(reach, False)
-        top = int(np.max(level, where=reach, initial=-1))
+        np.less_equal(level, p, out=first)
+        np.less_equal(level, q, out=second)
+        top = -1
+        for rows, cols, reach in _product_blocks(first, second, block, upper=symmetric and p == q):
+            np.fill_diagonal(reach[:, rows.start - cols.start:], 0.0)  # x != z
+            top = max(top, int(level[rows, cols].max(where=reach > 0, initial=-1)))
         if top >= 0:
             worst = max(worst, float(distinct[top] / total))
     return worst

@@ -266,7 +266,7 @@ def test_verify_memory_is_quadratic(tmp_path):
     assert run("gen", "--n", n, "-o", kernel) == 0
     peak = traced_peak(run, "verify", "-i", kernel, "-o", report)
     assert json.loads(report.read_text())["passed"] is True
-    assert peak < 36 * n * n
+    assert peak < 30 * n * n
 
 
 def test_chain_with_weights_memory_is_quadratic(tmp_path):
@@ -274,7 +274,7 @@ def test_chain_with_weights_memory_is_quadratic(tmp_path):
     kernel = tmp_path / "k.csv"
     assert run("gen", "--n", n, "-o", kernel) == 0
     peak = traced_peak(run, "chain", "-i", kernel, "-o", tmp_path / "d.csv", "--weights-output", tmp_path / "w.csv")
-    assert peak < 25 * n * n
+    assert peak < 21 * n * n
 
 
 def test_verify_checks_nesting_only_for_a_lambda_file(k60_csv, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from graphmetrize import (
     verify_equivalence,
     verify_sandwich,
 )
-from graphmetrize.metrize import _band_min, _inverse_indices, _sweep_step
+from graphmetrize.metrize import _band_min, _inverse_indices, _product_buffers, _sweep_step
 
 from conftest import (
     brute_equivalence,
@@ -36,6 +36,7 @@ from conftest import (
     exact_chain_metric,
     exhaustive_chain_metric,
     metrizable_kernels,
+    middle_vertex_quasi_triangle_constant,
     random_kernel,
     reference_chain_weights,
     reference_sandwich,
@@ -96,7 +97,8 @@ def test_lambda_triple_composition_nesting_brute_force():
 
 def assert_nests_by_construction(kernel, seq):
     """lambda(i - 1) is the sweep's step from lambda(i) at every level, so level_nesting holds."""
-    assert [_sweep_step(kernel, t) for t in seq.values[1:]] == seq.values[:-1].tolist()
+    buffers = _product_buffers(kernel.n)
+    assert [_sweep_step(kernel, t, buffers) for t in seq.values[1:]] == seq.values[:-1].tolist()
     assert level_nesting(kernel, seq)
 
 
@@ -390,12 +392,18 @@ def deep_sequence(size):
     return kernel, LambdaSequence(values=values, iterations=0)
 
 
-# k = 12 and 28 are the last levels in int16 and int32; 13, 19, 29 and 39 need the wider type.
-@pytest.mark.parametrize("size", (13, 14, 20, 29, 30, 40))
+# The closure's largest weight is 2 ** top with top = k + 1 while pairs lie below lambda(0), as
+# in deep_sequence, and top = k once lambda(0) is the kernel minimum.  uint8, uint16 and uint32 hold
+# top <= 7, 15 and 31: sizes 8, 16 and 32 with the minimum are the last in each, and the other
+# sequences of sizes 8/9, 16/17 and 32/33 need the wider type.
+@pytest.mark.parametrize("size", (8, 9, 13, 14, 16, 17, 20, 29, 30, 32, 33, 40))
 def test_chain_metric_deep_sequences_match_scipy(size):
     kernel, seq = deep_sequence(size)
-    assert seq.k == size - 1
-    assert np.array_equal(chain_metric(kernel, seq).values, scipy_chain_metric(kernel, seq))
+    floored = LambdaSequence(values=np.append(kernel.values.min(), seq.values[1:]), iterations=0)
+    assert seq.values[0] > floored.values[0]
+    for s in (seq, floored):
+        assert s.k == size - 1
+        assert np.array_equal(chain_metric(kernel, s).values, scipy_chain_metric(kernel, s))
 
 
 def test_chain_metric_sixty_levels_matches_integer_oracle():
@@ -416,7 +424,16 @@ def test_chain_metric_memory_is_quadratic():
     kernel = newtonian_kernel(n, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
     peak = traced_peak(chain_metric, kernel, seq)
-    assert peak < 14 * n * n
+    assert peak < 12 * n * n
+
+
+def test_lambda_sequence_memory_reuses_its_buffers():
+    """Two n x n float32 buffers and a block of rows, allocated once for the whole sweep or check."""
+    n = 300
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    assert traced_peak(compute_lambda_sequence, kernel) < 12.5 * n * n
+    seq = compute_lambda_sequence(kernel)
+    assert traced_peak(level_nesting, kernel, seq) < 12.5 * n * n
 
 
 def test_delta_matrix_memory_is_quadratic():
@@ -545,12 +562,35 @@ def test_quasi_triangle_matches_brute_force_oracle(corpus):
         assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(qm.values)
 
 
+def newtonian_delta(n):
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    return delta_matrix(kernel, compute_lambda_sequence(kernel)).values
+
+
+# Products go in blocks of max(n / 4, 128) rows: n = 129 leaves a block of one row, and n = 300
+# has three blocks, the last one ragged.
+@pytest.mark.parametrize("n", (129, 300))
+def test_row_blocked_products_match_whole_products(n):
+    rng = np.random.default_rng(n)
+    kernel = random_kernel(rng, n)
+    seq = compute_lambda_sequence(kernel)
+    buffers = _product_buffers(n)
+    for t in np.append(seq.values, rng.choice(kernel.values.ravel(), 4)):
+        ind = (kernel.values >= t).astype(np.float64)
+        assert _sweep_step(kernel, t, buffers) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
+    asymmetric = rng.integers(0, 4, (n, n)) / 4.0
+    np.fill_diagonal(asymmetric, 0.0)
+    for values in (delta_matrix(kernel, seq).values, newtonian_delta(n), asymmetric):
+        qm = QuasiMetricMatrix(n=n, values=values)
+        assert quasi_triangle_constant(qm) == middle_vertex_quasi_triangle_constant(values)
+
+
 def test_quasi_triangle_memory_is_quadratic():
     n = 300
     kernel = newtonian_kernel(n, 1.0, 2.0)
     dm = delta_matrix(kernel, compute_lambda_sequence(kernel))
     peak = traced_peak(quasi_triangle_constant, dm)
-    assert peak < 16 * n * n
+    assert peak < 12 * n * n
 
 
 def test_quasi_triangle_requires_three_vertices():
