@@ -64,6 +64,7 @@ from .metrize import (
     level_relations,
     quasi_triangle_constant,
     verify_equivalence,
+    verify_metrization,
     verify_sandwich,
 )
 from .relations import is_subset, power3
@@ -120,6 +121,7 @@ __all__ = [
     "spectral_decomposition",
     "validate_kernel",
     "verify_equivalence",
+    "verify_metrization",
     "verify_sandwich",
     "write_matrix_csv",
 ]

@@ -129,21 +129,25 @@ def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:
     Edges are emitted for every positive off-diagonal affinity, so dense
     kernels give dense graphs; the point of the export is the coloring.
     """
+    return "".join(_dot_lines(kernel, bands))
+
+
+def _dot_lines(kernel: AffinityMatrix, bands: AnnulusBands):
+    """Yield the text of bands_to_dot in pieces ending in a newline: one per node, one per row's edges."""
     if kernel.n != len(bands.band_of):
         raise InvalidParameterError(
             f"sizes differ: kernel {kernel.n}, bands {len(bands.band_of)}"
         )
-    lines = ["graph affinity {", "  node [style=filled];"]
+    yield "graph affinity {\n  node [style=filled];\n"
     for v in range(kernel.n):
-        lines.append(f"  {v} [fillcolor={bands.palette[bands.band_of[v]]}];")
+        yield f"  {v} [fillcolor={bands.palette[bands.band_of[v]]}];\n"
     # One string per row: index lists or strings for all n**2 / 2 edges would outweigh the text.
     names = [str(v) for v in range(kernel.n)]
     for i, row in enumerate(np.triu(kernel.values > 0, 1)):
         targets = np.flatnonzero(row).tolist()
         if targets:
-            lines.append(f"  {i} -- " + f";\n  {i} -- ".join(map(names.__getitem__, targets)) + ";")
-    lines.append("}\n")
-    return "\n".join(lines)
+            yield f"  {i} -- " + f";\n  {i} -- ".join(map(names.__getitem__, targets)) + ";\n"
+    yield "}\n"
 
 
 def bands_to_json(bands: AnnulusBands) -> str:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 from .balls import (
     _check_center,
+    _dot_lines,
     affinity_bands,
     annuli,
-    bands_to_dot,
     bands_to_json,
     delta_ball,
     distance_ball,
@@ -37,9 +37,7 @@ from .metrize import (
     lambda_from_json,
     lambda_to_json,
     level_nesting,
-    quasi_triangle_constant,
-    verify_equivalence,
-    verify_sandwich,
+    verify_metrization,
 )
 
 EXIT_OK = 0
@@ -214,7 +212,8 @@ def cmd_balls(args: argparse.Namespace, kernel) -> int:
         bands = annuli(_distance_row(args.metric, args, kernel), args.radii, args.center)
     args.output.write_text(bands_to_json(bands))
     if args.dot is not None:
-        args.dot.write_text(bands_to_dot(kernel, bands))
+        with open(args.dot, "w") as handle:
+            handle.writelines(_dot_lines(kernel, bands))
         _info(f"DOT coloring -> {args.dot}")
     sizes = [sum(1 for b in bands.band_of if b == band) for band in range(len(bands.radii) + 1)]
     _info(f"metric {args.metric} bands around {bands.center}: sizes {sizes} -> {args.output}")
@@ -238,15 +237,7 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         # A swept sequence nests by construction, since lambda(i - 1) is the value that
         # _sweep_step(lambda(i)) returned; a --lambda file comes from outside and is checked.
         checks["level_nesting"] = args.lambda_path is None or level_nesting(kernel, seq)
-        # The chain closure and the sandwich check run before delta is built, and the chain
-        # metric is dropped before the quasi-triangle products, which read only delta: neither
-        # cubic stage holds both beside its own buffers.
-        pm = chain_metric(kernel, seq)
-        sandwich = verify_sandwich(kernel, seq, pm)
-        dm = delta_matrix(kernel, seq)
-        equivalence = verify_equivalence(dm, pm)
-        del pm
-        constant = quasi_triangle_constant(dm) if kernel.n >= 3 else 1.0
+        sandwich, equivalence, constant = verify_metrization(kernel, seq)
         checks["sandwich"] = sandwich.passed
         checks["equivalence"] = equivalence.passed
         checks["quasi_triangle"] = constant <= 8.0

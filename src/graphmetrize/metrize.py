@@ -134,7 +134,7 @@ def compute_lambda_sequence(
     descending = [seed]
     iterations = 0
     while True:
-        next_value = _sweep_step(kernel, descending[-1], buffers)
+        next_value = _sweep_step(kernel, descending[-1], buffers, kernel_min)
         iterations += 1
         if next_value >= descending[-1]:
             break
@@ -146,53 +146,54 @@ def compute_lambda_sequence(
 
 
 def _product_buffers(n: int) -> tuple:
-    """Two n x n float32 buffers and a flat one for a block of their product's rows (see _product_blocks).
+    """An n x n float32 right operand, and a row strip of the left one and a block of their product (_product_blocks).
 
     A block is a quarter of the rows, but at least 128 rows, so that for
     small n the per-call cost of more products does not outweigh their
-    work.  Each buffer is allocated on its own: one (3, n, n) block would
-    make glibc keep later n x n arrays on its heap instead of handing them
-    back.
+    work.  Each buffer is allocated on its own: one block for all three
+    would make glibc keep later n x n arrays on its heap.
     """
     rows = min(n, max(-(-n // 4), 128))
-    return np.empty((n, n), np.float32), np.empty((n, n), np.float32), np.empty(rows * n, np.float32)
+    return np.empty((n, n), np.float32), np.empty((rows, n), np.float32), np.empty(rows * n, np.float32)
 
 
-def _sweep_step(kernel: AffinityMatrix, threshold: float, buffers: tuple) -> float:
+def _sweep_step(kernel: AffinityMatrix, threshold: float, buffers: tuple, floor: float) -> float:
     """Smallest affinity the cube of the level set {K >= threshold} reaches, inf if none.
 
     The cube is the positive entries of the float32 path counts of the
     level set's 0/1 indicator.  Every term is a product of nonnegative
     counts, so a sum with a path in it is >= 1 however it rounds.  The
     kernel is symmetric (an AffinityMatrix invariant) and so are the
-    counts: those of length 3 are formed a row block at a time, on and
-    above the diagonal only, and only their running minimum of K is
-    kept.  While the threshold is at most the smallest diagonal entry,
-    the cube holds the diagonal and so is never empty.
+    counts: per row block R, the cube's rows on and above the diagonal
+    are (ind[R] @ ind) @ ind[:, R.start:], and only their running minimum
+    of K is kept, until it reaches floor, the kernel minimum (the sweep's
+    last step).  While the threshold is at most the smallest diagonal
+    entry, the cube holds the diagonal and so is never empty.
     """
-    ind, square, block = buffers  # from _product_buffers
+    ind, strip, block = buffers  # from _product_buffers
     values = kernel.values
     np.greater_equal(values, threshold, out=ind)
-    np.matmul(ind, ind, out=square)
     low = np.inf
-    for rows, cols, cube in _product_blocks(square, ind, block, upper=True):
+    for rows, cols, left, out in _product_blocks(strip, block, upper=True):
+        cube = np.matmul(np.matmul(ind[rows], ind, out=left), ind[:, cols], out=out)
         low = min(low, values[rows, cols].min(where=cube > 0, initial=np.inf))
+        if low <= floor:
+            break
     return float(low)
 
 
-def _product_blocks(a: np.ndarray, b: np.ndarray, block: np.ndarray, upper: bool):
-    """Yield (rows, cols, a[rows] @ b[:, cols]) over the row blocks of the n x n product a @ b, each computed into block.
+def _product_blocks(strip: np.ndarray, block: np.ndarray, upper: bool):
+    """Yield (rows, cols, left, out) per row block of an n x n product: strip and block views for its rows and cols.
 
     cols is every column, or with upper only the columns from rows.start
     on: together those blocks hold every entry on and above the diagonal,
     which is all of a symmetric product.
     """
-    n = a.shape[0]
-    step = block.size // n
+    step, n = strip.shape
     for start in range(0, n, step):
         rows, cols = slice(start, start + step), slice(start if upper else 0, n)
-        out = block[: min(step, n - start) * (n - cols.start)].reshape(-1, n - cols.start)
-        yield rows, cols, np.matmul(a[rows], b[:, cols], out=out)
+        count = min(step, n - start)
+        yield rows, cols, strip[:count], block[: count * (n - cols.start)].reshape(count, -1)
 
 
 def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
@@ -201,8 +202,8 @@ def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
     That holds exactly when the sweep's step from lambda(i), the smallest
     affinity the cube of U(i) reaches, is at least lambda(i - 1).
     """
-    buffers = _product_buffers(kernel.n)
-    return all(_sweep_step(kernel, seq.values[i], buffers) >= seq.values[i - 1] for i in range(1, seq.k + 1))
+    buffers, floor = _product_buffers(kernel.n), kernel.values.min()
+    return all(_sweep_step(kernel, seq.values[i], buffers, floor) >= seq.values[i - 1] for i in range(1, seq.k + 1))
 
 
 def _band_min(kernel: AffinityMatrix, half: int) -> float:
@@ -253,34 +254,43 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     here): a pair whose deepest containing level set is m gets weight
     2 ** -(m + 1), and d is the exact shortest path over those weights.
     The half step is what makes every level set m sit strictly inside the
-    radius 2 ** -m ball of d.
-
-    Scaled by 2 ** (k + 1), every weight is an integer power of two from
-    1 up to 2 ** top, where top is k + 1 less the lowest level index (k
-    when lambda(0) is at most the kernel minimum).  Floyd-Warshall runs
-    on these integers, stored less one, so it is exact: every stored
-    entry stays at most 2 ** top - 1, and a relaxed sum a + b is stored
-    as a' + b' + 1 < 2 ** (top + 1).  The narrowest unsigned type that
-    holds that is used: uint8 for top <= 7, uint16 for top <= 15, uint32
-    for top <= 31, uint64 beyond.  The diagonal keeps its own weight
-    during the closure, since a positive self-loop never shortens a path,
-    and is set to 0 after.  The kernel is symmetric and so is every step
-    of the closure, so the pivot's column is read from its row.  k > 60
-    raises InvalidParameterError.  The distances are scaled back into
-    float64, exactly for k <= 52 and rounded to nearest from the exact
-    integer beyond.
+    radius 2 ** -m ball of d.  d is the integer closure (_closure) over
+    2 ** (k + 1) in float64, exact for k <= 52 and rounded to nearest
+    beyond; k > 60 raises InvalidParameterError.
     """
+    scale = _chain_scale(seq)
+    values = np.ldexp(_closure(_inverse_indices(seq.values, kernel.values, "script"), scale), -scale, dtype=np.float64)
+    values.setflags(write=False)
+    return PseudoMetricMatrix(n=kernel.n, values=values)
+
+
+def _chain_scale(seq: LambdaSequence) -> int:
+    """The closure's scale exponent k + 1; k > 60 raises InvalidParameterError."""
     if seq.k > 60:
         raise InvalidParameterError(f"chain closure needs at most 61 thresholds (k <= 60), got k = {seq.k}")
-    scale = seq.k + 1
-    level = _inverse_indices(seq.values, kernel.values, "script")
-    top = scale - int(level.min())
+    return seq.k + 1
+
+
+def _closure(index: np.ndarray, scale: int) -> np.ndarray:
+    """2 ** scale times the chain metric of the script level index, in unsigned integers with a zero diagonal.
+
+    Every scaled weight 2 ** (scale - index - 1) is a power of two up to
+    2 ** top, top = scale - index.min() (k when lambda(0) is at most the
+    kernel minimum).  Floyd-Warshall stores them less one, so it is exact
+    in the narrowest unsigned type with more than top bits: every entry
+    stays below 2 ** top, and a relaxed sum a + b is stored as
+    a' + b' + 1 < 2 ** (top + 1).  The diagonal keeps its own weight
+    during the closure, since a positive self-loop never shortens a path.
+    The closure is symmetric, so the pivot's column is read from its row.
+    """
+    top = scale - int(index.min())
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top < np.iinfo(t).bits)
-    # The shifts scale - level lie in 0 .. scale, so the unsafe cast to dtype is exact.
-    dist = np.left_shift(1, np.subtract(scale, level, out=level), dtype=dtype, casting="unsafe")
-    del level
+    # The shifts scale - index lie in 0 .. scale, so the unsafe cast to dtype is exact.
+    dist = np.subtract(scale, index, out=np.empty(index.shape, dtype), casting="unsafe")
+    del index  # chain_metric's index is a temporary: freed before the closure
+    np.left_shift(1, dist, out=dist)
     dist -= 1
-    row = np.empty(kernel.n, dtype)
+    row = np.empty(dist.shape[0], dtype)
     column = row[:, None]
     tmp = np.empty_like(dist)
     for pivot in dist:
@@ -289,10 +299,41 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
         np.minimum(dist, tmp, out=dist)
     del tmp
     dist += 1
-    values = np.ldexp(dist, -scale, dtype=np.float64)
-    np.fill_diagonal(values, 0.0)
-    values.setflags(write=False)
-    return PseudoMetricMatrix(n=kernel.n, values=values)
+    np.fill_diagonal(dist, 0)
+    return dist
+
+
+def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
+    """(verify_sandwich, verify_equivalence, quasi_triangle_constant) of chain_metric and delta_matrix, neither built.
+
+    All three read the script level index and the integer closure: delta
+    is 2 ** -index off the diagonal, d < 2 ** -i is closure < 2 ** (s - i)
+    for s = k + 1 (exact where d is, k <= 52), and d / delta is the exact
+    closure * 2 ** (index - s).  The constant is 1.0 below 3 vertices.
+    The quasi-triangle products run first, so their buffers and the
+    closure are never alive together.
+    """
+    scale = _chain_scale(seq)
+    index = _inverse_indices(seq.values, kernel.values, "script")
+    constant = _quasi_triangle(*_dyadic_levels(index, scale + 1), symmetric=True) if kernel.n >= 3 else 1.0
+    closure = _closure(index, scale)
+    sandwich = _sandwich(index, seq.k, lambda idx: closure < 1 << (scale - idx))
+    equivalence = _equivalence(kernel.n, lambda rows, off: np.ldexp(closure[rows], index[rows] - scale, dtype=np.float64))
+    return sandwich, equivalence, constant
+
+
+def _dyadic_levels(index: np.ndarray, size: int) -> tuple:
+    """_quasi_triangle's ranks and distinct values of 2 ** -index off the diagonal, for an index below size."""
+    n = index.shape[0]
+    counts = sum(np.bincount(index[rows][off], minlength=size) for rows, off in _row_blocks(n))
+    present = np.flatnonzero(counts)[::-1]  # descending index: ascending delta
+    table = np.zeros(size, index.dtype)
+    table[present] = np.arange(present.size)
+    level = np.empty_like(index)
+    for rows, _ in _row_blocks(n):
+        level[rows] = table[index[rows]]
+    np.fill_diagonal(level, present.size)
+    return level, np.ldexp(1.0, -present)
 
 
 def verify_sandwich(
@@ -305,16 +346,21 @@ def verify_sandwich(
     """
     if kernel.n != metric.n:
         raise InvalidParameterError(f"sizes differ: kernel {kernel.n}, metric {metric.n}")
+    level = _inverse_indices(seq.values, kernel.values, "script")
+    return _sandwich(level, seq.k, lambda idx: metric.values < 2.0 ** -idx)
+
+
+def _sandwich(level: np.ndarray, k: int, ball) -> SandwichReport:
+    """The sandwich report from the script level index and ball(idx), the mask of {d < 2**-idx}."""
     # U(j) is {level > j}: the largest j whose U(j) holds the ball is one
     # below the smallest level in the ball (k for an empty ball).
-    level = _inverse_indices(seq.values, kernel.values, "script")
-    indices = tuple(range(1, seq.k + 1))
+    indices = tuple(range(1, k + 1))
     left_pass = []
     right_shift = []
     for idx in indices:
-        ball = metric.values < 2.0 ** -idx
-        left_pass.append(bool((ball | (level <= idx)).all()))
-        best = int(level.min(where=ball, initial=seq.k + 1)) - 1
+        mask = ball(idx)
+        left_pass.append(bool((mask | (level <= idx)).all()))
+        best = int(level.min(where=mask, initial=k + 1)) - 1
         right_shift.append((best if best >= 0 else -idx - 1) - idx)
     tightest = min(right_shift) if right_shift else None
     passed = all(left_pass) and (tightest is None or tightest >= -1)
@@ -333,37 +379,30 @@ def verify_equivalence(
     """Extremes of d / delta off the diagonal, taken in row blocks, tested against the dyadic band."""
     if delta.n != metric.n:
         raise InvalidParameterError(f"sizes differ: delta {delta.n}, metric {metric.n}")
-    if metric.n < 2:
+    return _equivalence(metric.n, lambda rows, off: np.divide(metric.values[rows], delta.values[rows], out=None, where=off))
+
+
+def _equivalence(n: int, ratios) -> EquivalenceReport:
+    """The equivalence report from ratios(rows, off), d / delta on a row block wherever off holds."""
+    if n < 2:
         return EquivalenceReport(c_lo=float("nan"), c_hi=float("nan"), pairs=0, passed=True)
     c_lo, c_hi = np.inf, -np.inf
-    for rows, off in _row_blocks(metric.n):
-        ratios = np.divide(metric.values[rows], delta.values[rows], out=None, where=off)
-        c_lo = float(np.minimum(c_lo, ratios.min(where=off, initial=np.inf)))  # np.minimum keeps a NaN
-        c_hi = float(np.maximum(c_hi, ratios.max(where=off, initial=-np.inf)))
+    for rows, off in _row_blocks(n):
+        block = ratios(rows, off)
+        c_lo = float(np.minimum(c_lo, block.min(where=off, initial=np.inf)))  # np.minimum keeps a NaN
+        c_hi = float(np.maximum(c_hi, block.max(where=off, initial=-np.inf)))
     passed = c_lo >= EQUIVALENCE_LOWER and c_hi <= EQUIVALENCE_UPPER
-    return EquivalenceReport(c_lo=c_lo, c_hi=c_hi, pairs=metric.n * (metric.n - 1), passed=passed)
+    return EquivalenceReport(c_lo=c_lo, c_hi=c_hi, pairs=n * (n - 1), passed=passed)
 
 
 def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) over distinct x, y, z.
 
     Needs at least 3 vertices; triples whose hops sum to zero are skipped.
-    For distinct off-diagonal values v[p], v[q], the float32 product of
-    the 0/1 indicators {delta <= v[p]} and {delta <= v[q]}, both with the
-    diagonal excluded, marks the pairs (x, z) that two such hops join.
-    The largest delta(x, z) among them, x != z, over v[p] + v[q] bounds C
-    from below, and at the worst triple's hops it is C, by the same float
-    division.  Pairs go by ascending v[p] + v[q] and stop once max(v)
-    over the sum cannot win.  Counts are exact for n < 2**24.
-
-    The two indicators are filled in place in two float32 buffers, and
-    their product is taken a block of rows at a time (_product_buffers)
-    with the diagonal zeroed per block, so two n x n float32 buffers and
-    a block are alive, beside a level index of one byte per entry for
-    m <= 126.  For symmetric delta and p == q the product is symmetric,
-    and only its entries on and above the diagonal are formed.
-    The cost is up to m**2 products for m distinct values: a few dozen
-    for delta_matrix output (at most k + 2), slow for m near n**2 / 2.
+    Each entry's rank among the m distinct off-diagonal values, one byte
+    for m <= 126, goes to _quasi_triangle.  The cost is up to m**2
+    products: a few dozen for delta_matrix output (at most k + 2), slow
+    for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
@@ -371,11 +410,25 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     distinct = _distinct(np.concatenate([_distinct(vals[rows][off]) for rows, off in _row_blocks(n)]))
     level = _inverse_indices(distinct, vals, "upper")  # distinct[p] is at level p
     np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
-    # For symmetric delta, pair (q, p) reaches the transpose of what (p, q) reaches: visit q >= p only.
-    symmetric = np.array_equal(vals, vals.T)
+    return _quasi_triangle(level, distinct, symmetric=np.array_equal(vals, vals.T))
+
+
+def _quasi_triangle(level: np.ndarray, distinct: np.ndarray, symmetric: bool) -> float:
+    """The constant from each entry's rank among the sorted distinct values v, the diagonal ranked above all.
+
+    The float32 product of the 0/1 indicators {level <= p} and
+    {level <= q} marks the pairs (x, z) that two such hops join; its
+    largest v, x != z, over v[p] + v[q] bounds C from below, and at the
+    worst triple's hops it is C, by the same float division.  Pairs go by
+    ascending v[p] + v[q] and stop once max(v) over the sum cannot win.
+    Counts are exact for n < 2**24.  {level <= q} fills the right operand
+    and {level <= p} the strip, a row block at a time.  For symmetric
+    delta only q >= p is visited, since (q, p) reaches the transpose, and
+    for p == q only entries on and above the diagonal are formed.
+    """
     starts = [p if symmetric else 0 for p in range(distinct.size)]
     heap = [(distinct[p] + distinct[q], p, q) for p, q in enumerate(starts)]
-    first, second, block = _product_buffers(n)
+    second, strip, block = _product_buffers(level.shape[0])
     worst = 0.0
     while heap:
         total, p, q = heapq.heappop(heap)
@@ -385,10 +438,10 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
             continue
         if distinct[-1] / total <= worst:
             break
-        np.less_equal(level, p, out=first)
         np.less_equal(level, q, out=second)
         top = -1
-        for rows, cols, reach in _product_blocks(first, second, block, upper=symmetric and p == q):
+        for rows, cols, left, out in _product_blocks(strip, block, upper=symmetric and p == q):
+            reach = np.matmul(np.less_equal(level[rows], p, out=left), second[:, cols], out=out)
             np.fill_diagonal(reach[:, rows.start - cols.start:], 0.0)  # x != z
             top = max(top, int(level[rows, cols].max(where=reach > 0, initial=-1)))
         if top >= 0:

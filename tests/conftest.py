@@ -85,6 +85,13 @@ def metrizable_kernels(draw, n):
     return affinity_matrix(vals / grid)
 
 
+def rank_transform(kernel):
+    """The kernel under a strictly increasing map of its entries, their dense rank from 1 raised to 1.5, and the map as a dict."""
+    distinct, ranks = np.unique(kernel.values, return_inverse=True)
+    mapped = np.arange(1, distinct.size + 1) ** 1.5
+    return affinity_matrix(mapped[ranks].reshape(kernel.values.shape)), dict(zip(distinct.tolist(), mapped.tolist()))
+
+
 def traced_peak(fn, *args):
     """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
     tracemalloc.start()

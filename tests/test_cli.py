@@ -23,7 +23,7 @@ from graphmetrize import (
 )
 from graphmetrize.cli import jaccard, main
 
-from conftest import brute_power3, metrizable_kernels, tensor_diffusion_distances, traced_peak
+from conftest import brute_power3, metrizable_kernels, rank_transform, tensor_diffusion_distances, traced_peak
 
 
 def run(*args):
@@ -266,7 +266,29 @@ def test_verify_memory_is_quadratic(tmp_path):
     assert run("gen", "--n", n, "-o", kernel) == 0
     peak = traced_peak(run, "verify", "-i", kernel, "-o", report)
     assert json.loads(report.read_text())["passed"] is True
-    assert peak < 30 * n * n
+    assert peak < 21 * n * n
+
+
+def test_balls_dot_memory_streams_the_text(tmp_path):
+    n = 300
+    kernel, dot = tmp_path / "k.csv", tmp_path / "b.dot"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    peak = traced_peak(run, "balls", "-i", kernel, "--center", 0, "-o", tmp_path / "b.json", "--dot", dot)
+    assert dot.read_text().count(" -- ") == n * (n - 1) // 2
+    assert peak < 19 * n * n
+
+
+def test_delta_and_chain_csv_unchanged_by_a_rank_transform(tmp_path):
+    """The CLI reads the kernel only through comparisons: a strictly increasing map of it writes the same bytes."""
+    kernel = newtonian_kernel(40, 2.0)
+    outputs = []
+    for name, k in (("kernel", kernel), ("ranked", rank_transform(kernel)[0])):
+        path = tmp_path / f"{name}.csv"
+        write_matrix_csv(k.values, path)
+        for command in ("delta", "chain"):
+            assert run(command, "-i", path, "-o", tmp_path / f"{name}_{command}.csv") == 0
+        outputs.append([(tmp_path / f"{name}_{c}.csv").read_bytes() for c in ("delta", "chain")])
+    assert outputs[0] == outputs[1]
 
 
 def test_chain_with_weights_memory_is_quadratic(tmp_path):

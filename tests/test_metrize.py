@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +25,7 @@ from graphmetrize import (
     newtonian_kernel,
     quasi_triangle_constant,
     verify_equivalence,
+    verify_metrization,
     verify_sandwich,
 )
 from graphmetrize.metrize import _band_min, _inverse_indices, _product_buffers, _sweep_step
@@ -38,6 +39,7 @@ from conftest import (
     metrizable_kernels,
     middle_vertex_quasi_triangle_constant,
     random_kernel,
+    rank_transform,
     reference_chain_weights,
     reference_sandwich,
     scipy_chain_metric,
@@ -98,7 +100,8 @@ def test_lambda_triple_composition_nesting_brute_force():
 def assert_nests_by_construction(kernel, seq):
     """lambda(i - 1) is the sweep's step from lambda(i) at every level, so level_nesting holds."""
     buffers = _product_buffers(kernel.n)
-    assert [_sweep_step(kernel, t, buffers) for t in seq.values[1:]] == seq.values[:-1].tolist()
+    floor = kernel.values.min()
+    assert [_sweep_step(kernel, t, buffers, floor) for t in seq.values[1:]] == seq.values[:-1].tolist()
     assert level_nesting(kernel, seq)
 
 
@@ -428,12 +431,12 @@ def test_chain_metric_memory_is_quadratic():
 
 
 def test_lambda_sequence_memory_reuses_its_buffers():
-    """Two n x n float32 buffers and a block of rows, allocated once for the whole sweep or check."""
+    """One n x n float32 indicator, a strip of its square and a block of the cube, allocated once per sweep or check."""
     n = 300
     kernel = newtonian_kernel(n, 1.0, 2.0)
-    assert traced_peak(compute_lambda_sequence, kernel) < 12.5 * n * n
+    assert traced_peak(compute_lambda_sequence, kernel) < 9.5 * n * n
     seq = compute_lambda_sequence(kernel)
-    assert traced_peak(level_nesting, kernel, seq) < 12.5 * n * n
+    assert traced_peak(level_nesting, kernel, seq) < 9.5 * n * n
 
 
 def test_delta_matrix_memory_is_quadratic():
@@ -577,7 +580,7 @@ def test_row_blocked_products_match_whole_products(n):
     buffers = _product_buffers(n)
     for t in np.append(seq.values, rng.choice(kernel.values.ravel(), 4)):
         ind = (kernel.values >= t).astype(np.float64)
-        assert _sweep_step(kernel, t, buffers) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
+        assert _sweep_step(kernel, t, buffers, kernel.values.min()) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
     asymmetric = rng.integers(0, 4, (n, n)) / 4.0
     np.fill_diagonal(asymmetric, 0.0)
     for values in (delta_matrix(kernel, seq).values, newtonian_delta(n), asymmetric):
@@ -590,13 +593,108 @@ def test_quasi_triangle_memory_is_quadratic():
     kernel = newtonian_kernel(n, 1.0, 2.0)
     dm = delta_matrix(kernel, compute_lambda_sequence(kernel))
     peak = traced_peak(quasi_triangle_constant, dm)
-    assert peak < 12 * n * n
+    assert peak < 10 * n * n
 
 
 def test_quasi_triangle_requires_three_vertices():
     qm = QuasiMetricMatrix(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
         quasi_triangle_constant(qm)
+
+
+def metrization_reports(kernel, seq):
+    """verify_metrization's reports and constant, as plain values that compare with ==."""
+    sandwich, equivalence, constant = verify_metrization(kernel, seq)
+    return dataclasses.asdict(sandwich), dataclasses.asdict(equivalence), constant
+
+
+def assert_metrization_matches_public_checks(kernel, seq):
+    dm, pm = delta_matrix(kernel, seq), chain_metric(kernel, seq)
+    expected = (
+        dataclasses.asdict(verify_sandwich(kernel, seq, pm)),
+        dataclasses.asdict(verify_equivalence(dm, pm)),
+        quasi_triangle_constant(dm) if kernel.n >= 3 else 1.0,
+    )
+    assert metrization_reports(kernel, seq) == expected
+
+
+@seed(12)
+@given(st.integers(2, 10).flatmap(metrizable_kernels), st.sampled_from(("swept", "floored", "truncated")))
+@example(newtonian_kernel(2, 1.0, 2.0), "swept")
+@settings(max_examples=300, deadline=None)
+def test_verify_metrization_matches_public_checks_property(kernel, source):
+    """The swept sequence, with lambda(0) moved to the kernel minimum, or without it (pairs in no level set)."""
+    seq = compute_lambda_sequence(kernel)
+    if source == "floored" and kernel.values.min() < seq.values[0]:
+        seq = LambdaSequence(values=np.append(kernel.values.min(), seq.values[1:]), iterations=0)
+    elif source == "truncated" and seq.k > 0:
+        seq = LambdaSequence(values=seq.values[1:], iterations=0)
+    assert_metrization_matches_public_checks(kernel, seq)
+
+
+# As for the chain metric: sizes 8/9 and 16/17, with and without lambda(0) at the kernel minimum,
+# close in uint8, uint16 or uint32.
+@pytest.mark.parametrize("size", (8, 9, 16, 17))
+def test_verify_metrization_matches_public_checks_on_deep_sequences(size):
+    kernel, seq = deep_sequence(size)
+    floored = LambdaSequence(values=np.append(kernel.values.min(), seq.values[1:]), iterations=0)
+    for s in (seq, floored):
+        assert_metrization_matches_public_checks(kernel, s)
+
+
+def assert_same_metrization(kernel, seq, other, other_seq):
+    """Equal delta, d, reports and constant for two kernels with their sequences."""
+    assert np.array_equal(delta_matrix(kernel, seq).values, delta_matrix(other, other_seq).values)
+    assert np.array_equal(chain_metric(kernel, seq).values, chain_metric(other, other_seq).values)
+    assert metrization_reports(kernel, seq) == metrization_reports(other, other_seq)
+
+
+# The construction reads the kernel only through comparisons K >= t and the path order, so these
+# relations hold exactly, with no oracle.  A sequence without its bottom threshold stands for a
+# --lambda file that the sweep would not give.
+@seed(13)
+@given(st.integers(2, 10).flatmap(metrizable_kernels), st.sampled_from((3, 5)))
+@settings(max_examples=200, deadline=None)
+def test_rank_transform_changes_only_the_thresholds(kernel, band):
+    mapped, f = rank_transform(kernel)
+    seq, mapped_seq = compute_lambda_sequence(kernel, band), compute_lambda_sequence(mapped, band)
+    assert (mapped_seq.k, mapped_seq.iterations) == (seq.k, seq.iterations)
+    assert mapped_seq.values.tolist() == [f[t] for t in seq.values.tolist()]
+    assert_same_metrization(kernel, seq, mapped, mapped_seq)
+    if seq.k > 0:
+        top = LambdaSequence(values=seq.values[1:], iterations=0)
+        assert_same_metrization(kernel, top, mapped, LambdaSequence(values=mapped_seq.values[1:], iterations=0))
+
+
+@seed(14)
+@given(
+    st.integers(2, 10).flatmap(metrizable_kernels),
+    st.sampled_from((3, 5)),
+    st.integers(-4, 4),
+    st.none() | st.floats(0.01, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_scaling_by_a_power_of_two_moves_only_the_thresholds(kernel, band, j, fraction):
+    scaled = affinity_matrix(np.ldexp(kernel.values, j))
+    band_min = _band_min(kernel, (band - 1) // 2)
+    override = None if fraction is None or band_min == 0 else band_min * fraction
+    seq = compute_lambda_sequence(kernel, band, override)
+    scaled_seq = compute_lambda_sequence(scaled, band, None if override is None else np.ldexp(override, j))
+    assert (scaled_seq.k, scaled_seq.iterations) == (seq.k, seq.iterations)
+    assert scaled_seq.values.tolist() == np.ldexp(seq.values, j).tolist()
+    assert_same_metrization(kernel, seq, scaled, scaled_seq)
+
+
+@seed(15)
+@given(st.integers(2, 10).flatmap(metrizable_kernels), st.sampled_from((3, 5)))
+@settings(max_examples=200, deadline=None)
+def test_reversal_permutes_delta_and_d_alike(kernel, band):
+    flipped = affinity_matrix(kernel.values[::-1, ::-1])
+    seq, flipped_seq = compute_lambda_sequence(kernel, band), compute_lambda_sequence(flipped, band)
+    assert (flipped_seq.values.tolist(), flipped_seq.iterations) == (seq.values.tolist(), seq.iterations)
+    assert np.array_equal(delta_matrix(flipped, seq).values, delta_matrix(kernel, seq).values[::-1, ::-1])
+    assert np.array_equal(chain_metric(flipped, seq).values, chain_metric(kernel, seq).values[::-1, ::-1])
+    assert metrization_reports(flipped, seq) == metrization_reports(kernel, seq)
 
 
 def test_lambda_json_round_trip():
