@@ -69,9 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sequence_options(p):
         p.add_argument("--lambda", dest="lambda_path", type=Path,
-                       help="threshold JSON of this same kernel to reuse instead of recomputing")
-        p.add_argument("--diagonal-band", type=int, default=3, choices=(3, 5), help="band width seeding the sweep")
-        p.add_argument("--lambda0", type=float, default=None, help="override for the seed threshold")
+                       help="threshold JSON of this same kernel (from the lambda command) instead of the default sweep")
 
     p = sub.add_parser("gen", help="generate a power-law kernel on a path")
     p.add_argument("--n", required=True, type=int, help="vertex count")
@@ -81,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="compute the threshold sequence")
     add_kernel_input(p)
-    add_sequence_options(p)
+    p.add_argument("--diagonal-band", type=int, default=3, choices=(3, 5), help="band width seeding the sweep")
+    p.add_argument("--lambda0", type=float, default=None, help="override for the seed threshold")
     p.add_argument("-o", "--output", required=True, type=Path, help="threshold JSON output")
 
     p = sub.add_parser("delta", help="dyadic quasi-metric matrix")
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _sequence_for(args: argparse.Namespace, kernel):
     if args.lambda_path is not None:
         seq = lambda_from_json(args.lambda_path.read_text())
-        # Harvested thresholds are kernel entries; only the seed may be a free --lambda0.
+        # Harvested thresholds are kernel entries; only the seed may be a free lambda --lambda0.
         if not all((kernel.values == t).any() for t in seq.values[:-1]):
             raise InvalidParameterError(f"{args.lambda_path}: thresholds are not entries of this kernel")
         band_min = _band_min(kernel, 1)
@@ -144,9 +143,7 @@ def _sequence_for(args: argparse.Namespace, kernel):
                 f"{args.lambda_path}: top threshold {seq.values[-1]!r} exceeds the band minimum {band_min!r}"
             )
         return seq
-    return compute_lambda_sequence(
-        kernel, diagonal_band=args.diagonal_band, lambda0_override=args.lambda0
-    )
+    return compute_lambda_sequence(kernel)
 
 
 def _distance_row(metric: str, args: argparse.Namespace, kernel):
@@ -165,7 +162,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_lambda(args: argparse.Namespace, kernel) -> int:
-    seq = _sequence_for(args, kernel)
+    seq = compute_lambda_sequence(kernel, args.diagonal_band, args.lambda0)
     args.output.write_text(lambda_to_json(seq))
     _info(f"{seq.k + 1} thresholds in {seq.iterations} rounds -> {args.output}")
     return EXIT_OK
@@ -191,12 +188,15 @@ def cmd_chain(args: argparse.Namespace, kernel) -> int:
 
 def cmd_diffusion(args: argparse.Namespace, kernel) -> int:
     decomp = spectral_decomposition(kernel)
-    if args.eig_output is not None:
-        args.eig_output.write_text(decomposition_to_json(decomp))
-        _info(f"eigendecomposition -> {args.eig_output}")
+    # The JSON text is built before the distances, so they never share its peak, and
+    # written after them, so a bad --t fails before any file is written.
+    eig_text = None if args.eig_output is None else decomposition_to_json(decomp)
     dt = diffusion_distance_matrix(decomp, args.t)
     write_matrix_csv(dt, args.output)
     _info(f"diffusion distances at t={args.t} -> {args.output}")
+    if eig_text is not None:
+        args.eig_output.write_text(eig_text)
+        _info(f"eigendecomposition -> {args.eig_output}")
     return EXIT_OK
 
 

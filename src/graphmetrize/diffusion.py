@@ -94,21 +94,25 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
     monotonically as t grows whenever the spectrum is nonpositive.
 
     Squared distances come from the Gram identity
-    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, clamped at zero, in O(n^2) memory.
-    Its error in d^2 is round-off in |a|^2, so the error relative to d
-    grows as d -> 0: on newtonian_kernel(60) at t = 100, where some true
-    distances are 1e-12, it measured 2.6e-9 absolute.
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, clamped at zero, formed row by row
+    in the Gram matrix's own buffer.  Its error in d^2 is round-off in
+    |a|^2, so the error relative to d grows as d -> 0: on
+    newtonian_kernel(60) at t = 100, where some true distances are 1e-12,
+    it measured 2.6e-9 absolute.  The output is exactly symmetric because
+    numpy computes coords @ coords.T by BLAS syrk, which forms one
+    triangle and mirrors it.
     """
     if t <= 0:
         raise InvalidParameterError(f"t must be positive, got {t!r}")
     scales = np.exp(float(t) * decomp.eigenvalues)
     coords = decomp.eigenvectors * scales[None, :]
-    gram = coords @ coords.T
-    norms = np.diagonal(gram)
-    squared = norms[:, None] + norms[None, :] - 2.0 * gram
-    # BLAS does not promise a bit-symmetric product; the output must be.
-    squared = (squared + squared.T) / 2.0
-    out = np.sqrt(np.maximum(squared, 0.0))
+    out = coords @ coords.T
+    del coords
+    norms = np.diagonal(out).copy()
+    for norm, row in zip(norms, out):
+        np.subtract(norm + norms, 2.0 * row, out=row)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 

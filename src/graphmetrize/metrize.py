@@ -315,25 +315,15 @@ def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
     """
     scale = _chain_scale(seq)
     index = _inverse_indices(seq.values, kernel.values, "script")
-    constant = _quasi_triangle(*_dyadic_levels(index, scale + 1), symmetric=True) if kernel.n >= 3 else 1.0
+    constant = 1.0
+    if kernel.n >= 3:
+        level, keys = _ranks(np.negative(index))  # -index ascends as delta = 2 ** -index does
+        constant = _quasi_triangle(level, np.ldexp(1.0, keys), symmetric=True)
+        del level  # freed before the closure
     closure = _closure(index, scale)
     sandwich = _sandwich(index, seq.k, lambda idx: closure < 1 << (scale - idx))
     equivalence = _equivalence(kernel.n, lambda rows, off: np.ldexp(closure[rows], index[rows] - scale, dtype=np.float64))
     return sandwich, equivalence, constant
-
-
-def _dyadic_levels(index: np.ndarray, size: int) -> tuple:
-    """_quasi_triangle's ranks and distinct values of 2 ** -index off the diagonal, for an index below size."""
-    n = index.shape[0]
-    counts = sum(np.bincount(index[rows][off], minlength=size) for rows, off in _row_blocks(n))
-    present = np.flatnonzero(counts)[::-1]  # descending index: ascending delta
-    table = np.zeros(size, index.dtype)
-    table[present] = np.arange(present.size)
-    level = np.empty_like(index)
-    for rows, _ in _row_blocks(n):
-        level[rows] = table[index[rows]]
-    np.fill_diagonal(level, present.size)
-    return level, np.ldexp(1.0, -present)
 
 
 def verify_sandwich(
@@ -406,11 +396,16 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
-    n, vals = delta.n, delta.values
-    distinct = _distinct(np.concatenate([_distinct(vals[rows][off]) for rows, off in _row_blocks(n)]))
-    level = _inverse_indices(distinct, vals, "upper")  # distinct[p] is at level p
+    vals = delta.values
+    return _quasi_triangle(*_ranks(vals), symmetric=np.array_equal(vals, vals.T))
+
+
+def _ranks(values: np.ndarray) -> tuple:
+    """_quasi_triangle's ranks of a square array's entries among its sorted distinct off-diagonal values, and those values."""
+    distinct = _distinct(np.concatenate([_distinct(values[rows][off]) for rows, off in _row_blocks(values.shape[0])]))
+    level = _inverse_indices(distinct, values, "upper")  # distinct[p] is at level p
     np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
-    return _quasi_triangle(level, distinct, symmetric=np.array_equal(vals, vals.T))
+    return level, distinct
 
 
 def _quasi_triangle(level: np.ndarray, distinct: np.ndarray, symmetric: bool) -> float:

@@ -9,8 +9,10 @@ closed by scipy's Floyd-Warshall or one over Python integers, diffusion
 distances difference every pair of coordinate rows explicitly, the
 quasi-triangle constant is a plain loop over every triple, the
 equivalence constants divide every off-diagonal pair, the
-sandwich scans every level set {K >= lambda(j)} for every ball, and
-the CSV writer formats every entry with repr.
+sandwich scans every level set {K >= lambda(j)} for every ball,
+the CSV writer formats every entry with repr, and the diffusion
+distances take the Gram identity with separate temporaries and an
+explicit symmetrizing pass.
 """
 
 import itertools
@@ -187,6 +189,18 @@ def tensor_diffusion_distances(decomp, t):
     coords = decomp.eigenvectors * np.exp(t * decomp.eigenvalues)[None, :]
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))
+
+
+def reference_diffusion_distance_matrix(decomp, t):
+    """diffusion_distance_matrix with separate temporaries and an explicit symmetrizing pass: the judge of its in-place form."""
+    coords = decomp.eigenvectors * np.exp(float(t) * decomp.eigenvalues)[None, :]
+    gram = coords @ coords.T
+    norms = np.diagonal(gram)
+    squared = norms[:, None] + norms[None, :] - 2.0 * gram
+    squared = (squared + squared.T) / 2.0
+    out = np.sqrt(np.maximum(squared, 0.0))
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def brute_quasi_triangle_constant(values):

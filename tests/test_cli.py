@@ -80,6 +80,68 @@ def test_pipeline_60_outputs_byte_identical(tmp_path):
     assert digests == GOLDEN_60
 
 
+# sha256 of each consumer's output for a sequence that lambda seeds with
+# --diagonal-band 5 or --lambda0 0.3 and hands on through --lambda.  They
+# are the bytes that the one-step commands (verify --diagonal-band 5)
+# wrote when every consumer still took those options itself.
+SEEDED_60 = {
+    ("--diagonal-band", "5"): {
+        "delta.csv": "e3fbcf8d2d0e182fbe3d67b0a570fe9fd559dce018442de0c9fa17b2c9d3239c",
+        "chain.csv": "a427ac3ef45ff86c1f49a7c079727283d2847c891ce9b08a1cd6a03e83af660d",
+        "balls.json": "b8370f10d2442e83581b33f9ca15e57b14c1835dcadb6cdc1620a8d79a280cd1",
+        "balls.dot": "0fbe30a34ce58de3163d459e49283988f8e7281cfb41f94a67e1a5638dcb3920",
+        "verify.json": "c85d03c1baf473a96e6a0e6f8eefb5ca0a6519bb6483aa49c86fb57b342bb0aa",
+        "compare.json": "44ee0ac59cd2ac0d877616b8796a359dda85f91f4ba6f57e4e906c5a95f0c916",
+    },
+    ("--lambda0", "0.3"): {
+        "delta.csv": "a37a64f9d1e5ea1face7e599bcb2029ef6e8261fc827aa65f2d9d4c4db53b90e",
+        "chain.csv": "b8ecd9ed9f81c66fc1265e9eb4e263f400a55348b2cb4820385eb9392d277fe8",
+        "balls.json": "7360633ccfd6939549eb9a7b5be240c4b4107cc5e0b5df7b9395b586dc2ce4ff",
+        "balls.dot": "4d28af052c5714cd69950de1aa3d7f08a2584c7c03a33a8be6cd75f6f3d2765d",
+        "verify.json": "e5abd67302cb17c2ad9b789824e14d75cada2437168850122a589589f1892a72",
+        "compare.json": "d7dfaa39e969a25f6d185d3a736a8d9fc321dc3e377902b4026748deb33f5426",
+    },
+}
+
+
+@pytest.mark.parametrize("seeding", list(SEEDED_60))
+def test_seeded_sequence_travels_through_a_lambda_file(k60_csv, tmp_path, seeding):
+    lam = tmp_path / "l.json"
+    assert run("lambda", "-i", k60_csv, *seeding, "-o", lam) == 0
+    commands = [
+        ("delta", "-o", tmp_path / "delta.csv"),
+        ("chain", "-o", tmp_path / "chain.csv"),
+        ("balls", "--center", 50, "--metric", "F", "-o", tmp_path / "balls.json", "--dot", tmp_path / "balls.dot"),
+        ("verify", "-o", tmp_path / "verify.json"),
+        ("compare", "--center", 25, "--radius-f", 0.0625, "--radius-e", 4, "-o", tmp_path / "compare.json"),
+    ]
+    for command, *rest in commands:
+        assert run(command, "-i", k60_csv, "--lambda", lam, *rest) == 0, command
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SEEDED_60[seeding]}
+    assert digests == SEEDED_60[seeding]
+
+
+def test_only_lambda_sets_the_sweep(k60_csv, tmp_path):
+    consumers = [
+        ("delta",),
+        ("chain",),
+        ("balls", "--center", 50),
+        ("verify",),
+        ("compare", "--center", 25, "--radius-f", 0.125, "--radius-e", 4),
+    ]
+    for command, *rest in consumers:
+        for option in (("--diagonal-band", 5), ("--lambda0", 0.5)):
+            with pytest.raises(SystemExit) as exc:
+                run(command, "-i", k60_csv, *option, *rest, "-o", tmp_path / "out")
+            assert exc.value.code == 2, (command, option)
+    lam = tmp_path / "l.json"
+    assert run("lambda", "-i", k60_csv, "-o", lam) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("lambda", "-i", k60_csv, "--lambda", lam, "-o", tmp_path / "again.json")
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "again.json").exists()
+
+
 def test_gen_round_trip_and_value(tmp_path):
     out = tmp_path / "k.csv"
     assert run("gen", "--n", 60, "--alpha", 1, "--diag", 2, "-o", out) == 0
@@ -203,6 +265,12 @@ def test_diffusion_eig_output(k60_csv, tmp_path):
     assert np.abs(rebuilt - graph_laplacian(load_affinity(k60_csv))).max() <= 1e-8
     oracle = tensor_diffusion_distances(decomp, 0.005)
     assert np.abs(read_matrix_csv(out) - oracle).max() <= 1e-12
+
+
+def test_diffusion_bad_time_writes_nothing(k60_csv, tmp_path):
+    out, eig = tmp_path / "dt.csv", tmp_path / "eig.json"
+    assert run("diffusion", "-i", k60_csv, "--t", 0, "-o", out, "--eig-output", eig) == 2
+    assert not out.exists() and not eig.exists()
 
 
 def test_balls_f_matches_figure_bands(k60_csv, tmp_path):
