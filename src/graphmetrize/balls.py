@@ -56,7 +56,7 @@ def delta_ball(
     center = _check_center(center, kernel.n)
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
-    row = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values[center], "script"))
+    row = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values[center]))
     row[center] = 0.0
     return distance_ball(row, center, r)
 

@@ -22,14 +22,14 @@ from .balls import (
     euclidean_distances,
 )
 from .diffusion import (
-    decomposition_to_json,
+    _decomposition_lines,
     diffusion_distance_matrix,
     spectral_decomposition,
 )
 from .errors import GraphMetrizeError, InvalidParameterError, NumericError
 from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_kernel, write_matrix_csv
 from .metrize import (
-    INVERSE_VARIANTS,
+    QUASI_TRIANGLE_LIMIT,
     _band_min,
     chain_metric,
     compute_lambda_sequence,
@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="dyadic quasi-metric matrix")
     add_kernel_input(p)
     add_sequence_options(p)
-    p.add_argument("--variant", choices=INVERSE_VARIANTS, default="script")
     p.add_argument("-o", "--output", required=True, type=Path, help="distance CSV output")
 
     p = sub.add_parser("chain", help="chain pseudo-metric matrix")
@@ -170,9 +169,9 @@ def cmd_lambda(args: argparse.Namespace, kernel) -> int:
 
 def cmd_delta(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
-    dm = delta_matrix(kernel, seq, args.variant)
+    dm = delta_matrix(kernel, seq)
     write_matrix_csv(dm.values, args.output)
-    _info(f"{args.variant} quasi-metric for n={kernel.n} -> {args.output}")
+    _info(f"quasi-metric for n={kernel.n} -> {args.output}")
     return EXIT_OK
 
 
@@ -188,14 +187,11 @@ def cmd_chain(args: argparse.Namespace, kernel) -> int:
 
 def cmd_diffusion(args: argparse.Namespace, kernel) -> int:
     decomp = spectral_decomposition(kernel)
-    # The JSON text is built before the distances, so they never share its peak, and
-    # written after them, so a bad --t fails before any file is written.
-    eig_text = None if args.eig_output is None else decomposition_to_json(decomp)
-    dt = diffusion_distance_matrix(decomp, args.t)
-    write_matrix_csv(dt, args.output)
+    write_matrix_csv(diffusion_distance_matrix(decomp, args.t), args.output)  # the distances are freed on return
     _info(f"diffusion distances at t={args.t} -> {args.output}")
-    if eig_text is not None:
-        args.eig_output.write_text(eig_text)
+    if args.eig_output is not None:
+        with open(args.eig_output, "w") as handle:
+            handle.writelines(_decomposition_lines(decomp))
         _info(f"eigendecomposition -> {args.eig_output}")
     return EXIT_OK
 
@@ -209,6 +205,8 @@ def cmd_balls(args: argparse.Namespace, kernel) -> int:
     else:
         if not args.radii:
             raise InvalidParameterError(f"metric {args.metric} needs --radii")
+        if args.lambda_path is not None:
+            raise InvalidParameterError(f"metric {args.metric} reads no thresholds; drop --lambda")
         bands = annuli(_distance_row(args.metric, args, kernel), args.radii, args.center)
     args.output.write_text(bands_to_json(bands))
     if args.dot is not None:
@@ -240,7 +238,7 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
         sandwich, equivalence, constant = verify_metrization(kernel, seq)
         checks["sandwich"] = sandwich.passed
         checks["equivalence"] = equivalence.passed
-        checks["quasi_triangle"] = constant <= 8.0
+        checks["quasi_triangle"] = constant <= QUASI_TRIANGLE_LIMIT
         payload.update(
             thresholds=[float(x) for x in seq.values],
             tightest_shift=sandwich.tightest_shift,
@@ -270,6 +268,8 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
     if args.radius_f is not None:
         seq = _sequence_for(args, kernel)
         balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
+    elif args.lambda_path is not None:
+        raise InvalidParameterError("only --radius-f reads thresholds; drop --lambda")
     for metric, radius in (("D", args.radius_d), ("E", args.radius_e)):
         if radius is not None:
             balls[metric] = distance_ball(_distance_row(metric, args, kernel), args.center, radius)

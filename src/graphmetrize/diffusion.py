@@ -118,11 +118,16 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
 
 def decomposition_to_json(decomp: SpectralDecomposition) -> str:
-    payload = {
-        "eigenvalues": [float(x) for x in decomp.eigenvalues],
-        "eigenvectors": decomp.eigenvectors.tolist(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(_decomposition_lines(decomp))
+
+
+def _decomposition_lines(decomp: SpectralDecomposition):
+    """Yield json.dumps of {"eigenvalues", "eigenvectors"} at indent 2 with sorted keys, and a newline, a piece per eigenvector row."""
+    values = json.dumps(decomp.eigenvalues.tolist(), indent=2).replace("\n", "\n  ")
+    yield '{\n  "eigenvalues": ' + values + ',\n  "eigenvectors": ['
+    for i, row in enumerate(decomp.eigenvectors):
+        yield ("," if i else "") + "\n    " + json.dumps(row.tolist(), indent=2).replace("\n", "\n    ")
+    yield "\n  ]\n}\n" if len(decomp.eigenvectors) else "]\n}\n"
 
 
 def decomposition_from_json(text: str) -> SpectralDecomposition:

@@ -30,11 +30,11 @@ from .errors import (
 )
 from .kernels import AffinityMatrix, _freeze, validate_kernel
 
-INVERSE_VARIANTS = ("script", "upper", "lower")
-
 # Equivalence band for d against delta: delta / 8 <= d <= 2 * delta.
 EQUIVALENCE_LOWER = 0.125
 EQUIVALENCE_UPPER = 2.0
+# Largest quasi-triangle constant of delta that verify accepts.
+QUASI_TRIANGLE_LIMIT = 8.0
 
 
 @dataclass(frozen=True)
@@ -224,23 +224,17 @@ def _row_blocks(n: int):
         yield slice(start, start + step), np.arange(start, min(start + step, n))[:, None] != np.arange(n)
 
 
-def _inverse_indices(values: np.ndarray, t: np.ndarray, variant: str) -> np.ndarray:
-    """Per entry of t, how many of the variant's cuts lie below it (or at it: script), in the narrowest int type for k + 2."""
-    cuts = {"script": values, "upper": values[:-1], "lower": values[1:-1]}
-    if variant not in cuts:
-        raise InvalidParameterError(f"variant must be one of {INVERSE_VARIANTS}, got {variant!r}")
+def _inverse_indices(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The script index #{j : values[j] <= t} per entry of t, in the narrowest int type for k + 2."""
     index = np.zeros(np.shape(t), np.min_scalar_type(-(values.size + 2)))  # -(k + 3) fits iff k + 2 does
-    above = np.greater_equal if variant == "script" else np.greater
-    for cut in cuts[variant]:
-        index += above(t, cut)
+    for cut in values:
+        index += np.greater_equal(t, cut)
     return index
 
 
-def delta_matrix(
-    kernel: AffinityMatrix, seq: LambdaSequence, variant: str = "script"
-) -> QuasiMetricMatrix:
-    """Dyadic quasi-metric 2 ** -inverse(K) with the diagonal forced to zero."""
-    index = _inverse_indices(seq.values, kernel.values, variant)
+def delta_matrix(kernel: AffinityMatrix, seq: LambdaSequence) -> QuasiMetricMatrix:
+    """Dyadic quasi-metric 2 ** -index(K) of the script index, with the diagonal forced to zero."""
+    index = _inverse_indices(seq.values, kernel.values)
     vals = np.ldexp(1.0, np.negative(index, out=index))
     np.fill_diagonal(vals, 0.0)
     vals.setflags(write=False)
@@ -259,7 +253,7 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     beyond; k > 60 raises InvalidParameterError.
     """
     scale = _chain_scale(seq)
-    values = np.ldexp(_closure(_inverse_indices(seq.values, kernel.values, "script"), scale), -scale, dtype=np.float64)
+    values = np.ldexp(_closure(_inverse_indices(seq.values, kernel.values), scale), -scale, dtype=np.float64)
     values.setflags(write=False)
     return PseudoMetricMatrix(n=kernel.n, values=values)
 
@@ -314,7 +308,7 @@ def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
     closure are never alive together.
     """
     scale = _chain_scale(seq)
-    index = _inverse_indices(seq.values, kernel.values, "script")
+    index = _inverse_indices(seq.values, kernel.values)
     constant = 1.0
     if kernel.n >= 3:
         level, keys = _ranks(np.negative(index))  # -index ascends as delta = 2 ** -index does
@@ -336,7 +330,7 @@ def verify_sandwich(
     """
     if kernel.n != metric.n:
         raise InvalidParameterError(f"sizes differ: kernel {kernel.n}, metric {metric.n}")
-    level = _inverse_indices(seq.values, kernel.values, "script")
+    level = _inverse_indices(seq.values, kernel.values)
     return _sandwich(level, seq.k, lambda idx: metric.values < 2.0 ** -idx)
 
 
@@ -390,7 +384,7 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
 
     Needs at least 3 vertices; triples whose hops sum to zero are skipped.
     Each entry's rank among the m distinct off-diagonal values, one byte
-    for m <= 126, goes to _quasi_triangle.  The cost is up to m**2
+    for m <= 127, goes to _quasi_triangle.  The cost is up to m**2
     products: a few dozen for delta_matrix output (at most k + 2), slow
     for m near n**2 / 2.
     """
@@ -403,7 +397,7 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
 def _ranks(values: np.ndarray) -> tuple:
     """_quasi_triangle's ranks of a square array's entries among its sorted distinct off-diagonal values, and those values."""
     distinct = _distinct(np.concatenate([_distinct(values[rows][off]) for rows, off in _row_blocks(values.shape[0])]))
-    level = _inverse_indices(distinct, values, "upper")  # distinct[p] is at level p
+    level = _inverse_indices(distinct[1:], values)  # distinct[p] is at level p
     np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
     return level, distinct
 

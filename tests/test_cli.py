@@ -44,8 +44,6 @@ GOLDEN_60 = {
     "k60.csv": "d19ca854b5a2ea9b9edadd1982f8eba1c8c5df212db246e92e20faa42a0c0c72",
     "l.json": "358e13b80721aa4559153f7fb8569c54ed9bf10a64fc6c8112732404b4270dff",
     "delta_script.csv": "c7c8f91470f569b6e82cfa4914d1a27f96f3d8ec5ab966007d11c9596ed78b3a",
-    "delta_upper.csv": "5a79ff44a37832ca78f185faffbae605c1068a8de0fb409c98f5e32e193a1644",
-    "delta_lower.csv": "ed8587e9affae57d5694b7ff0562a42b0dbb842aa3cd7b2600be8e6410223f86",
     "chain.csv": "aa5cc5ef98ee44b721f5130378df4d7026d8031097a0d684118c81baa4b378c8",
     "weights.csv": "c7c8f91470f569b6e82cfa4914d1a27f96f3d8ec5ab966007d11c9596ed78b3a",
     "verify.json": "6c442b8a00cb4643e524de62cddea53dbe1e7e9c3d6e4bdac0a86fe8de933d7a",
@@ -62,8 +60,7 @@ def test_pipeline_60_outputs_byte_identical(tmp_path):
     commands = [
         ("gen", "--n", 60, "--alpha", 1, "--diag", 2, "-o", k),
         ("lambda", "-i", k, "-o", lam),
-        *(("delta", "-i", k, "--lambda", lam, "--variant", v, "-o", tmp_path / f"delta_{v}.csv")
-          for v in ("script", "upper", "lower")),
+        ("delta", "-i", k, "--lambda", lam, "-o", tmp_path / "delta_script.csv"),
         ("chain", "-i", k, "--lambda", lam, "-o", tmp_path / "chain.csv",
          "--weights-output", tmp_path / "weights.csv"),
         ("verify", "-i", k, "-o", tmp_path / "verify.json"),
@@ -317,6 +314,28 @@ def test_balls_diffusion_bands(k60_csv, tmp_path):
 def test_balls_d_requires_radii(k60_csv, tmp_path):
     assert run("balls", "-i", k60_csv, "--center", 25, "--metric", "D",
                "-o", tmp_path / "d.json") == 2
+
+
+def test_lambda_is_rejected_where_no_threshold_is_read(k60_csv, tmp_path, capsys):
+    lam = tmp_path / "l.json"
+    assert run("lambda", "-i", k60_csv, "-o", lam) == 0
+    out = tmp_path / "out.json"
+    unread = [
+        ("balls", "--metric", "D", "--center", 25, "--radii", "0.5,1.0"),
+        ("balls", "--metric", "E", "--center", 25, "--radii", "1,3"),
+        ("compare", "--center", 25, "--radius-d", 1.4, "--radius-e", 4),
+    ]
+    for command, *rest in unread:
+        capsys.readouterr()
+        assert run(command, "-i", k60_csv, "--lambda", lam, *rest, "-o", out) == 2, rest
+        assert "--lambda" in capsys.readouterr().err, rest
+        assert not out.exists(), rest
+
+
+def test_delta_has_one_inverse_map(k60_csv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("delta", "-i", k60_csv, "--variant", "upper", "-o", tmp_path / "d.csv")
+    assert exc.value.code == 2
 
 
 def test_verify_passes_on_newtonian(k60_csv, tmp_path):

@@ -9,6 +9,7 @@ from graphmetrize import (
     DomainError,
     InvalidParameterError,
     NumericError,
+    SpectralDecomposition,
     affinity_matrix,
     decomposition_from_json,
     decomposition_to_json,
@@ -216,3 +217,29 @@ def test_decomposition_json_round_trip():
     old = decomposition_from_json(json.dumps({**payload, "convention": "symmetric_normalized"}))
     assert np.array_equal(old.eigenvalues, decomp.eigenvalues)
     assert np.array_equal(old.eigenvectors, decomp.eigenvectors)
+
+
+def reference_decomposition_json(decomp):
+    """The eig.json text built whole: the payload as Python lists, dumped by json at indent 2."""
+    payload = {"eigenvalues": decomp.eigenvalues.tolist(), "eigenvectors": decomp.eigenvectors.tolist()}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_decomposition_json_matches_json_dumps(corpus):
+    cases = [spectral_decomposition(newtonian_kernel(n, 1.0, 2.0)) for n in (2, 3, 60, 200)]
+    cases += [spectral_decomposition(kernel) for kernel in corpus[:5]]
+    cases += [eig_symmetric(np.zeros((0, 0))), eig_symmetric(np.ones((1, 1)))]
+    odd = np.array([[1e-300, -0.0, np.inf], [np.nan, 5e-324, -1.5e300], [1.0, 2.0, 3.0]])
+    cases.append(SpectralDecomposition(eigenvalues=np.array([np.nan, -np.inf, -0.0]), eigenvectors=odd))
+    for decomp in cases:
+        assert decomposition_to_json(decomp) == reference_decomposition_json(decomp)
+
+
+def test_diffusion_eig_output_memory_streams_the_text(tmp_path):
+    """eig.json goes out a row at a time: no n**2 Python floats, and no whole text, beside the arrays."""
+    n = 300
+    kernel, eig = tmp_path / "k.csv", tmp_path / "eig.json"
+    write_matrix_csv(newtonian_kernel(n, 1.0, 2.0).values, kernel)
+    peak = traced_peak(main, ["diffusion", "-i", str(kernel), "-o", str(tmp_path / "dt.csv"), "--eig-output", str(eig)])
+    assert eig.read_text() == reference_decomposition_json(spectral_decomposition(newtonian_kernel(n, 1.0, 2.0)))
+    assert peak < 40 * n * n

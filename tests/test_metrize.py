@@ -162,24 +162,16 @@ def test_lambda_band_and_override_options():
 def test_lambda_inverse_script_examples():
     seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
     t = np.array([1.0, 0.5, 0.1, 7.0])
-    assert _inverse_indices(seq.values, t, "script").tolist() == [2, 1, 0, 2]
-
-
-def test_lambda_inverse_upper_and_lower():
-    seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
-    t = np.array([0.0, 1.0 / 3.0, 0.5, 7.0])
-    assert _inverse_indices(seq.values, t, "upper").tolist() == [0, 0, 1, 1]
-    assert _inverse_indices(seq.values, t[2:], "lower").tolist() == [0, 0]
-
-
-def test_lambda_inverse_rejects_unknown_variant():
-    seq = compute_lambda_sequence(newtonian_kernel(4, 1.0, 2.0))
-    with pytest.raises(InvalidParameterError):
-        _inverse_indices(seq.values, np.array([0.5]), "sideways")
+    assert _inverse_indices(seq.values, t).tolist() == [2, 1, 0, 2]
 
 
 def searchsorted_inverse(values, t, variant):
-    """The level index from one np.searchsorted call over all of t, in intp."""
+    """A level index from one np.searchsorted call over all of t, in intp.
+
+    script is #{j : lambda(j) <= t}.  upper and lower are paper-style
+    conventions: upper is the strict count #{j : lambda(j) < t} clamped
+    to 0 .. k, and lower is that count less one, clamped to 0 .. k - 1.
+    """
     k = values.size - 1
     if variant == "script":
         return np.searchsorted(values, t, side="right")
@@ -197,11 +189,10 @@ def searchsorted_inverse(values, t, variant):
 def test_inverse_indices_match_searchsorted_property(grid, t):
     # Thresholds and entries share a grid of quarters, so ties are common.
     values = np.array(sorted(grid)) / 4.0
-    for variant in ("script", "upper", "lower"):
-        got = _inverse_indices(values, t, variant)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, searchsorted_inverse(values, t, variant))
-        assert got.shape == t.shape
+    got = _inverse_indices(values, t)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, searchsorted_inverse(values, t, "script"))
+    assert got.shape == t.shape
 
 
 @pytest.mark.parametrize("size, dtype", ((126, np.int8), (127, np.int16)))
@@ -210,11 +201,10 @@ def test_inverse_indices_widen_past_int8(size, dtype):
     rng = np.random.default_rng(size)
     values = np.sort(rng.choice(1000, size, replace=False)) / 1000.0
     t = rng.integers(-1, 1001, (100, 100)) / 1000.0
-    for variant in ("script", "upper", "lower"):
-        got = _inverse_indices(values, t, variant)
-        assert got.dtype == dtype
-        assert np.array_equal(got, searchsorted_inverse(values, t, variant))
-    assert _inverse_indices(values, t, "script").max() == size  # t reaches past the top threshold
+    got = _inverse_indices(values, t)
+    assert got.dtype == dtype
+    assert np.array_equal(got, searchsorted_inverse(values, t, "script"))
+    assert got.max() == size  # t reaches past the top threshold
 
 
 def test_delta_4x4_script_values():
@@ -249,15 +239,6 @@ def test_delta_monotone_in_affinity():
     for a in np.nonzero(off)[0][:40]:
         higher = off & (flat_k >= flat_k[a])
         assert (flat_d[higher] <= flat_d[a]).all()
-
-
-def test_delta_variants_differ_at_top():
-    kernel = newtonian_kernel(4, 1.0, 2.0)
-    seq = compute_lambda_sequence(kernel)
-    up = delta_matrix(kernel, seq, "upper")
-    low = delta_matrix(kernel, seq, "lower")
-    assert up.values[0, 1] == 0.5
-    assert low.values[0, 1] == 1.0
 
 
 def test_chain_metric_4x4_matches_exhaustive_oracle():
@@ -550,13 +531,18 @@ def euclidean_quasi_metrics(rng):
     return out
 
 
+def searchsorted_delta(kernel, variant):
+    """Dyadic quasi-metric 2 ** -index(K) of searchsorted_inverse's variant, with a zero diagonal."""
+    values = np.ldexp(1.0, -searchsorted_inverse(compute_lambda_sequence(kernel).values, kernel.values, variant))
+    np.fill_diagonal(values, 0.0)
+    return QuasiMetricMatrix(n=kernel.n, values=values)
+
+
 def test_quasi_triangle_matches_brute_force_oracle(corpus):
     rng = np.random.default_rng(31)
-    cases = [
-        delta_matrix(kernel, compute_lambda_sequence(kernel), variant)
-        for kernel in corpus
-        for variant in ("script", "upper", "lower")
-    ]
+    script = [delta_matrix(kernel, compute_lambda_sequence(kernel)) for kernel in corpus]
+    assert all(np.array_equal(d.values, searchsorted_delta(k, "script").values) for k, d in zip(corpus, script))
+    cases = script + [searchsorted_delta(kernel, variant) for kernel in corpus for variant in ("upper", "lower")]
     cases += euclidean_quasi_metrics(rng)
     asymmetric = np.round(rng.random((9, 9)), 1)
     np.fill_diagonal(asymmetric, 0.0)
