@@ -123,11 +123,22 @@ def decomposition_to_json(decomp: SpectralDecomposition) -> str:
 
 def _decomposition_lines(decomp: SpectralDecomposition):
     """Yield json.dumps of {"eigenvalues", "eigenvectors"} at indent 2 with sorted keys, and a newline, a piece per eigenvector row."""
-    values = json.dumps(decomp.eigenvalues.tolist(), indent=2).replace("\n", "\n  ")
-    yield '{\n  "eigenvalues": ' + values + ',\n  "eigenvectors": ['
+    yield '{\n  "eigenvalues": ' + _indented_list(decomp.eigenvalues, "  ") + ',\n  "eigenvectors": ['
     for i, row in enumerate(decomp.eigenvectors):
-        yield ("," if i else "") + "\n    " + json.dumps(row.tolist(), indent=2).replace("\n", "\n    ")
+        yield ("," if i else "") + "\n    " + _indented_list(row, "    ")
     yield "\n  ]\n}\n" if len(decomp.eigenvectors) else "]\n}\n"
+
+
+def _indented_list(values: np.ndarray, margin: str) -> str:
+    """json.dumps(values.tolist(), indent=2) with margin before every line but the first, through json's C encoder.
+
+    The compact text separates items by ", ", which no float's JSON text
+    holds, so each separator becomes a comma, a newline and the indent.
+    """
+    if not len(values):
+        return "[]"
+    inner = "\n" + margin + "  "
+    return "[" + inner + json.dumps(values.tolist())[1:-1].replace(", ", "," + inner) + "\n" + margin + "]"
 
 
 def decomposition_from_json(text: str) -> SpectralDecomposition:

@@ -16,6 +16,7 @@ factors of delta and sandwiches the level sets between its dyadic balls.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 from dataclasses import dataclass
@@ -276,6 +277,7 @@ def _closure(index: np.ndarray, scale: int) -> np.ndarray:
     a' + b' + 1 < 2 ** (top + 1).  The diagonal keeps its own weight
     during the closure, since a positive self-loop never shortens a path.
     The closure is symmetric, so the pivot's column is read from its row.
+    When top <= 1 the weights are the closure and no pivot runs.
     """
     top = scale - int(index.min())
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top < np.iinfo(t).bits)
@@ -283,16 +285,17 @@ def _closure(index: np.ndarray, scale: int) -> np.ndarray:
     dist = np.subtract(scale, index, out=np.empty(index.shape, dtype), casting="unsafe")
     del index  # chain_metric's index is a temporary: freed before the closure
     np.left_shift(1, dist, out=dist)
-    dist -= 1
-    row = np.empty(dist.shape[0], dtype)
-    column = row[:, None]
-    tmp = np.empty_like(dist)
-    for pivot in dist:
-        np.add(pivot, 1, out=row)
-        np.add(column, pivot, out=tmp)
-        np.minimum(dist, tmp, out=dist)
-    del tmp
-    dist += 1
+    if top > 1:  # with every weight 1 or 2, no path of two steps or more is shorter than one step
+        dist -= 1
+        row = np.empty(dist.shape[0], dtype)
+        column = row[:, None]
+        tmp = np.empty_like(dist)
+        for pivot in dist:
+            np.add(pivot, 1, out=row)
+            np.add(column, pivot, out=tmp)
+            np.minimum(dist, tmp, out=dist)
+        del tmp
+        dist += 1
     np.fill_diagonal(dist, 0)
     return dist
 
@@ -382,15 +385,17 @@ def _equivalence(n: int, ratios) -> EquivalenceReport:
 def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) over distinct x, y, z.
 
-    Needs at least 3 vertices; triples whose hops sum to zero are skipped.
-    Each entry's rank among the m distinct off-diagonal values, one byte
-    for m <= 127, goes to _quasi_triangle.  The cost is up to m**2
-    products: a few dozen for delta_matrix output (at most k + 2), slow
-    for m near n**2 / 2.
+    Needs at least 3 vertices and finite, nonnegative entries, else
+    DomainError; triples whose hops sum to zero are skipped.  Each entry's
+    rank among the m distinct off-diagonal values, one byte for m <= 127,
+    goes to _quasi_triangle.  The cost is up to m**2 products: about k + 1
+    for delta_matrix output (m is at most k + 2), slow for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
     vals = delta.values
+    if not (vals.min() >= 0 and vals.max() < np.inf):  # a NaN fails both
+        raise DomainError("delta entries must be finite and nonnegative")
     return _quasi_triangle(*_ranks(vals), symmetric=np.array_equal(vals, vals.T))
 
 
@@ -402,39 +407,62 @@ def _ranks(values: np.ndarray) -> tuple:
     return level, distinct
 
 
-def _quasi_triangle(level: np.ndarray, distinct: np.ndarray, symmetric: bool) -> float:
+def _quasi_triangle(level: np.ndarray, v: np.ndarray, symmetric: bool) -> float:
     """The constant from each entry's rank among the sorted distinct values v, the diagonal ranked above all.
 
     The float32 product of the 0/1 indicators {level <= p} and
-    {level <= q} marks the pairs (x, z) that two such hops join; its
+    {level <= q} marks the pairs (x, z) that hops p then q join; its
     largest v, x != z, over v[p] + v[q] bounds C from below, and at the
-    worst triple's hops it is C, by the same float division.  Pairs go by
-    ascending v[p] + v[q] and stop once max(v) over the sum cannot win.
-    Counts are exact for n < 2**24.  {level <= q} fills the right operand
-    and {level <= p} the strip, a row block at a time.  For symmetric
-    delta only q >= p is visited, since (q, p) reaches the transpose, and
-    for p == q only entries on and above the diagonal are formed.
+    worst triple's hops it is C, by the same float division.  Counts are
+    exact for n < 2**24.  {level <= q} fills the right operand and
+    {level <= p} the strip, a row block at a time.
+
+    For p < q the indicators nest, so the largest level M that hops
+    (p, q) or (q, p) join lies between M(p, p) and M(q, q).  The diagonal
+    products go first, by ascending v[q], until max(v) / (v[0] + v[q])
+    cannot beat the worst ratio so far.  Where M(p, p) = M(q, q) the
+    pair's value is known without a product; otherwise
+    v[M(q, q)] / (v[p] + v[q]) bounds it, and the pairs are formed by
+    descending bound until none beats the worst ratio, from a heap with
+    one entry per q.  For symmetric delta only (p, q) is formed, since
+    (q, p) reaches the transpose, and a diagonal product only on and
+    above the diagonal.
     """
-    starts = [p if symmetric else 0 for p in range(distinct.size)]
-    heap = [(distinct[p] + distinct[q], p, q) for p, q in enumerate(starts)]
     second, strip, block = _product_buffers(level.shape[0])
-    worst = 0.0
-    while heap:
-        total, p, q = heapq.heappop(heap)
-        if q + 1 < distinct.size:
-            heapq.heappush(heap, (distinct[p] + distinct[q + 1], p, q + 1))
-        if total == 0:
-            continue
-        if distinct[-1] / total <= worst:
-            break
+
+    def joined(p: int, q: int, upper: bool) -> int:
+        """The largest level that hops p then q join, or -1 if none."""
         np.less_equal(level, q, out=second)
         top = -1
-        for rows, cols, left, out in _product_blocks(strip, block, upper=symmetric and p == q):
+        for rows, cols, left, out in _product_blocks(strip, block, upper):
             reach = np.matmul(np.less_equal(level[rows], p, out=left), second[:, cols], out=out)
             np.fill_diagonal(reach[:, rows.start - cols.start:], 0.0)  # x != z
             top = max(top, int(level[rows, cols].max(where=reach > 0, initial=-1)))
-        if top >= 0:
-            worst = max(worst, float(distinct[top] / total))
+        return top
+
+    worst = 0.0
+    diagonal = []  # M(q, q), nondecreasing in q
+    for q in range(v.size):
+        if v[0] + v[q] > 0 and v[-1] / (v[0] + v[q]) <= worst:
+            break
+        top = joined(q, q, symmetric)
+        diagonal.append(top)
+        p = bisect.bisect_left(diagonal, top)  # from p on, M(p, q) = M(q, q)
+        if top >= 0 and v[p] + v[q] > 0:
+            worst = max(worst, float(v[top] / (v[p] + v[q])))
+
+    # (bound, q, p): q's next pair below its first exact one, the bound negated for the min-heap.
+    heap = [(-v[top] / (v[0] + v[q]), q, 0) for q, top in enumerate(diagonal) if diagonal[0] < top]
+    heapq.heapify(heap)
+    while heap and -heap[0][0] > worst:
+        bound, q, p = heapq.heappop(heap)
+        top = diagonal[q]
+        if diagonal[p + 1] < top:
+            heapq.heappush(heap, (-v[top] / (v[p + 1] + v[q]), q, p + 1))
+        for a, b in [(p, q)] if symmetric else [(p, q), (q, p)]:
+            reached = joined(a, b, False) if -bound > worst else -1
+            if reached >= 0:
+                worst = max(worst, float(v[reached] / (v[p] + v[q])))
     return worst
 
 

@@ -28,7 +28,8 @@ from graphmetrize import (
     verify_metrization,
     verify_sandwich,
 )
-from graphmetrize.metrize import _band_min, _inverse_indices, _product_buffers, _sweep_step
+from graphmetrize import metrize
+from graphmetrize.metrize import _band_min, _closure, _inverse_indices, _product_buffers, _sweep_step
 
 from conftest import (
     brute_equivalence,
@@ -122,6 +123,39 @@ def test_swept_sequence_nests_by_construction_property(kernel, band, fraction):
 def test_swept_sequence_nests_by_construction_on_corpus(corpus_pipeline):
     for kernel, seq, _, _ in corpus_pipeline:
         assert_nests_by_construction(kernel, seq)
+
+
+def assert_sharp_bounds(kernel, seq):
+    """The metrization lemma's bounds for a nested sequence, far inside the paper's [1/8, 2] and 8.
+
+    d <= delta since the chain's one-step weight is delta, and d >= delta / 2
+    by the chain inequality.  Two hops in U(i) join a pair of
+    U(i) o U(i) o U(i), inside U(i - 1), so delta(x, z) <= 2 * max(delta(x, y),
+    delta(y, z)) and the constant is at most 2.
+    """
+    sandwich, equivalence, constant = verify_metrization(kernel, seq)
+    assert 0.5 <= equivalence.c_lo and equivalence.c_hi <= 1.0
+    assert constant <= 2.0
+    assert sandwich.tightest_shift is None or sandwich.tightest_shift >= -1
+
+
+@seed(14)
+@given(
+    st.integers(2, 10).flatmap(metrizable_kernels),
+    st.sampled_from((3, 5)),
+    st.none() | st.sampled_from((1.0, 0.5)) | st.floats(0.01, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_sharp_bounds_hold_for_swept_sequences_property(kernel, band, fraction):
+    """Swept from the band minimum, or from a lambda0 seed below it."""
+    band_min = _band_min(kernel, (band - 1) // 2)
+    override = None if fraction is None or band_min == 0 else band_min * fraction
+    assert_sharp_bounds(kernel, compute_lambda_sequence(kernel, band, override))
+
+
+def test_sharp_bounds_hold_on_corpus(corpus_pipeline):
+    for kernel, seq, _, _ in corpus_pipeline:
+        assert_sharp_bounds(kernel, seq)
 
 
 def test_strict_form_restatement():
@@ -586,6 +620,69 @@ def test_quasi_triangle_requires_three_vertices():
     qm = QuasiMetricMatrix(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
         quasi_triangle_constant(qm)
+
+
+@pytest.mark.parametrize("entry", (-1.0, np.nan, np.inf))
+def test_quasi_triangle_rejects_negative_and_non_finite_entries(entry):
+    """The sum bounds that end the products need delta >= 0: a negative, NaN or infinite entry is no quasi-metric."""
+    values = np.array([[0.0, 1.0, entry], [1.0, 0.0, 1.0], [entry, 1.0, 0.0]])
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        quasi_triangle_constant(QuasiMetricMatrix(n=3, values=values))
+
+
+def test_verify_metrization_forms_at_most_k_plus_one_products(monkeypatch):
+    """The diagonal products bound the others: on newtonian_kernel(300), k = 6, at most k + 1 products in all."""
+    kernel = newtonian_kernel(300, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    assert seq.k == 6
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return product_blocks(*args, **kwargs)
+
+    product_blocks = metrize._product_blocks
+    monkeypatch.setattr(metrize, "_product_blocks", spy)
+    _, _, constant = verify_metrization(kernel, seq)
+    assert constant == middle_vertex_quasi_triangle_constant(delta_matrix(kernel, seq).values)
+    assert 0 < len(calls) <= seq.k + 1
+
+
+# Continuous entries give m near n**2 / 2 distinct values (n**2 - n when asymmetric): the candidate
+# pairs must stay in a heap of one entry per value, never a list of all m**2 / 2 pairs.
+@pytest.mark.parametrize("symmetric", (True, False))
+def test_quasi_triangle_continuous_delta_matches_brute_force_in_linear_memory(symmetric):
+    n = 40
+    rng = np.random.default_rng(40 + symmetric)
+    values = rng.random((n, n))
+    if symmetric:
+        values = np.triu(values, 1) + np.triu(values, 1).T
+    np.fill_diagonal(values, 0.0)
+    m = np.unique(values[~np.eye(n, dtype=bool)]).size
+    assert m == (n * n - n) // (2 if symmetric else 1)
+    qm = QuasiMetricMatrix(n=n, values=values)
+    assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(values)
+    assert traced_peak(quasi_triangle_constant, qm) < 10 * n * n + 256 * m
+
+
+def two_weight_cases():
+    """A swept uniform random kernel (k = 1, lambda(0) at the kernel minimum) and a one-threshold sequence inside its range (k = 0)."""
+    kernel = random_kernel(np.random.default_rng(300), 300)
+    seq = compute_lambda_sequence(kernel)
+    assert seq.k == 1 and seq.values[0] == kernel.values.min()
+    return [(kernel, seq), (kernel, LambdaSequence(values=np.array([0.5]), iterations=0))]
+
+
+@pytest.mark.parametrize("case", (0, 1))
+def test_two_weight_closure_is_its_weights(case):
+    """Every scaled weight is 1 or 2, so no path is relaxed and no n x n scratch is allocated."""
+    kernel, seq = two_weight_cases()[case]
+    index = _inverse_indices(seq.values, kernel.values)
+    assert seq.k + 1 - index.min() == 1  # top: weights 1 and 2
+    assert np.array_equal(chain_metric(kernel, seq).values, scipy_chain_metric(kernel, seq))
+    n = kernel.n
+    assert traced_peak(_closure, index, seq.k + 1) < 1.5 * n * n
+    assert_metrization_matches_public_checks(kernel, seq)
 
 
 def metrization_reports(kernel, seq):
