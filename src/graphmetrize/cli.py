@@ -23,6 +23,7 @@ from .balls import (
 )
 from .diffusion import (
     _decomposition_lines,
+    _diffusion_distance_row,
     diffusion_distance_matrix,
     spectral_decomposition,
 )
@@ -31,9 +32,9 @@ from .kernels import load_affinity, newtonian_kernel, save_affinity, validate_ke
 from .metrize import (
     QUASI_TRIANGLE_LIMIT,
     _band_min,
-    chain_metric,
+    _chain_rows,
+    _delta_rows,
     compute_lambda_sequence,
-    delta_matrix,
     lambda_from_json,
     lambda_to_json,
     level_nesting,
@@ -149,8 +150,7 @@ def _distance_row(metric: str, args: argparse.Namespace, kernel):
     """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path)."""
     if metric == "E":
         return euclidean_distances(kernel.n, args.center)
-    center = _check_center(args.center, kernel.n)
-    return diffusion_distance_matrix(spectral_decomposition(kernel), args.t)[center]
+    return _diffusion_distance_row(spectral_decomposition(kernel), args.t, _check_center(args.center, kernel.n))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -169,18 +169,17 @@ def cmd_lambda(args: argparse.Namespace, kernel) -> int:
 
 def cmd_delta(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
-    dm = delta_matrix(kernel, seq)
-    write_matrix_csv(dm.values, args.output)
+    write_matrix_csv(_delta_rows(kernel, seq), args.output)
     _info(f"quasi-metric for n={kernel.n} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_chain(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
-    write_matrix_csv(chain_metric(kernel, seq).values, args.output)
+    write_matrix_csv(_chain_rows(kernel, seq), args.output)
     _info(f"chain metric for n={kernel.n} -> {args.output}")
     if args.weights_output is not None:
-        write_matrix_csv(delta_matrix(kernel, seq).values, args.weights_output)
+        write_matrix_csv(_delta_rows(kernel, seq), args.weights_output)
         _info(f"one-step weights -> {args.weights_output}")
     return EXIT_OK
 

@@ -102,10 +102,7 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
     numpy computes coords @ coords.T by BLAS syrk, which forms one
     triangle and mirrors it.
     """
-    if t <= 0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
-    scales = np.exp(float(t) * decomp.eigenvalues)
-    coords = decomp.eigenvectors * scales[None, :]
+    coords = _coordinates(decomp, t)
     out = coords @ coords.T
     del coords
     norms = np.diagonal(out).copy()
@@ -115,6 +112,23 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
     np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _coordinates(decomp: SpectralDecomposition, t: float) -> np.ndarray:
+    """The eigenvector rows scaled by exp(t * eigenvalue); t must be positive."""
+    if t <= 0:
+        raise InvalidParameterError(f"t must be positive, got {t!r}")
+    return decomp.eigenvectors * np.exp(float(t) * decomp.eigenvalues)[None, :]
+
+
+def _diffusion_distance_row(decomp: SpectralDecomposition, t: float, center: int) -> np.ndarray:
+    """diffusion_distance_matrix(decomp, t)[center] by the same Gram identity from the center's products alone, to round-off in d^2."""
+    coords = _coordinates(decomp, t)
+    norms = np.einsum("ij,ij->i", coords, coords)
+    row = norms[center] + norms - 2.0 * (coords @ coords[center])
+    np.sqrt(np.maximum(row, 0.0, out=row), out=row)
+    row[center] = 0.0
+    return row
 
 
 def decomposition_to_json(decomp: SpectralDecomposition) -> str:

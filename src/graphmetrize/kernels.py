@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,9 +96,12 @@ def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityM
             f"diag_value must be >= 1 to keep the diagonal dominant, got {diag_value!r}"
         )
     idx = np.arange(int(n), dtype=np.float64)
-    gaps = np.abs(idx[:, None] - idx[None, :])
+    vals = np.empty((int(n), int(n)))
+    for i, row in enumerate(vals):  # row by row: a broadcast difference takes ufunc buffers beside the result
+        np.subtract(i, idx, out=row)
+    np.abs(vals, out=vals)  # the gaps, raised to -alpha in place
     with np.errstate(divide="ignore"):
-        vals = gaps ** -float(alpha)
+        vals **= -float(alpha)
     np.fill_diagonal(vals, float(diag_value))
     vals.setflags(write=False)
     return AffinityMatrix(n=int(n), values=vals)
@@ -185,7 +189,7 @@ class _Cache(dict):
 
 
 def write_matrix_csv(values, path) -> None:
-    """Write a matrix as headerless CSV, one row per line.
+    """Write a matrix, or an iterator over its rows, as headerless CSV, one row per line.
 
     Floats are written with repr so a read back is bit-exact.  Kernels
     and the metrics built from them repeat a few values many times, so
@@ -194,14 +198,17 @@ def write_matrix_csv(values, path) -> None:
     once the cache is full means mostly distinct values, and the rest of
     the matrix is formatted with plain repr.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    words = _Cache(repr, arr.shape[-1])
-    fmt = words.__getitem__
+    rows = values if isinstance(values, Iterator) else np.asarray(values, dtype=np.float64)
+    words = fmt = None
     with open(path, "w") as handle:
-        for row in arr:
+        for row in rows:
+            row = np.asarray(row, dtype=np.float64).tolist()
+            if words is None:
+                words = _Cache(repr, len(row))
+                fmt = words.__getitem__
             words.misses_when_full = 0
-            handle.write(",".join(map(fmt, row.tolist())) + "\n")
-            if 2 * words.misses_when_full > row.size:
+            handle.write(",".join(map(fmt, row)) + "\n")
+            if 2 * words.misses_when_full > len(row):
                 fmt = repr
                 words.clear()
 

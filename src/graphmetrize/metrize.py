@@ -20,6 +20,7 @@ import bisect
 import heapq
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -131,11 +132,11 @@ def compute_lambda_sequence(
             )
 
     kernel_min = float(kernel.values.min())
-    buffers = _product_buffers(kernel.n)
+    products = _Products(kernel.n, square=True)
     descending = [seed]
     iterations = 0
     while True:
-        next_value = _sweep_step(kernel, descending[-1], buffers, kernel_min)
+        next_value = _sweep_step(kernel, descending[-1], products, kernel_min)
         iterations += 1
         if next_value >= descending[-1]:
             break
@@ -146,55 +147,174 @@ def compute_lambda_sequence(
     return LambdaSequence(values=_freeze(descending[::-1]), iterations=iterations)
 
 
-def _product_buffers(n: int) -> tuple:
-    """An n x n float32 right operand, and a row strip of the left one and a block of their product (_product_blocks).
+# Strips of the indicator products are this many rows, and tiles this many columns, or one tile
+# spans the matrix while n is at most twice that: the right operand is then generated once.
+_TILE = 128
 
-    A block is a quarter of the rows, but at least 128 rows, so that for
-    small n the per-call cost of more products does not outweigh their
-    work.  Each buffer is allocated on its own: one block for all three
-    would make glibc keep later n x n arrays on its heap.
+
+def _tile_width(n: int) -> int:
+    """The column tile width for an n x n product."""
+    return n if n <= 2 * _TILE else _TILE
+
+
+class _Indicator:
+    """The 0/1 matrix test(source, cut) made in float32 a block at a time: {K >= t}, or {delta <= v} or {index >= c} without the diagonal.
+
+    A plain class: a dataclass would cost the import milliseconds.
     """
-    rows = min(n, max(-(-n // 4), 128))
-    return np.empty((n, n), np.float32), np.empty((rows, n), np.float32), np.empty(rows * n, np.float32)
+
+    def __init__(self, source: np.ndarray, test: np.ufunc, cut, diagonal: bool = True, symmetric: bool = True):
+        self.source, self.test, self.cut, self.diagonal, self.symmetric = source, test, cut, diagonal, symmetric
+        n = source.shape[0]
+        self._envelope = ([0], [n]) if _tile_width(n) == n else None
+
+    def fill(self, rows: slice, cols: slice, buffer: np.ndarray) -> np.ndarray:
+        """The block [rows, cols], written over the first entries of a flat buffer."""
+        block = _view(buffer, rows.stop - rows.start, cols.stop - cols.start)
+        self.test(self.source[rows, cols], self.cut, out=block)
+        if not self.diagonal:
+            _clear_diagonal(block, rows, cols)
+        return block
+
+    @property
+    def envelope(self) -> tuple:
+        """Per column tile, the rows [lo, hi) outside which it is zero (lo >= hi if all of it is), by argmax over the transpose's rows.
+
+        The diagonal is counted even where it is left out, which only widens a span.
+        """
+        if self._envelope is not None:
+            return self._envelope
+        source = self.source if self.symmetric else self.source.T
+        n = source.shape[0]
+        first, last = np.empty(n, np.intp), np.empty(n, np.intp)
+        per = max(1, 32768 // n)
+        for start in range(0, n, per):
+            hit = self.test(source[start:start + per], self.cut)
+            rows = slice(start, start + len(hit))
+            first[rows] = hit.argmax(axis=1)
+            last[rows] = n - hit[:, ::-1].argmax(axis=1)
+            empty = ~hit[np.arange(len(hit)), first[rows]]
+            first[rows][empty], last[rows][empty] = n, 0
+        starts = np.arange(0, n, _tile_width(n))
+        self._envelope = np.minimum.reduceat(first, starts), np.maximum.reduceat(last, starts)
+        return self._envelope
 
 
-def _sweep_step(kernel: AffinityMatrix, threshold: float, buffers: tuple, floor: float) -> float:
+def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols entries of a flat buffer as a rows x cols array."""
+    return buffer[: rows * cols].reshape(rows, cols)
+
+
+def _clear_diagonal(block: np.ndarray, rows: slice, cols: slice) -> None:
+    """Zero the entries of block, the [rows, cols] part of a square matrix, that lie on its diagonal."""
+    start = max(rows.start, cols.start)
+    np.fill_diagonal(block[start - rows.start:, start - cols.start:], 0)
+
+
+class _Products:
+    """Products of _Indicator matrices by tiles, in buffers allocated once per call.
+
+    A row strip of the left operand meets a column tile of the right
+    indicator only over the rows inside both the strip's nonzero columns
+    and the tile's envelope: that span is the inner dimension, and a tile
+    sharing none is skipped (the power-law kernel's level sets are
+    banded).  While one tile spans the matrix, the tile buffer holds the
+    whole right indicator, generated once, and a left operand that is
+    the same indicator is read from it.  Each buffer is allocated on its
+    own: one block for all would make glibc keep later n x n arrays on
+    its heap.
+    """
+
+    def __init__(self, n: int, square: bool = False):
+        self.n, self.rows, self.width = n, min(n, _TILE), _tile_width(n)
+        self.strip = np.empty(self.rows * n, np.float32)
+        self.square = np.empty((self.rows, n), np.float32) if square else None  # the sweep's strip of the square
+        self.tile = np.empty(n * self.width, np.float32)
+        self.out = np.empty(self.rows * self.width, np.float32)
+        self.held = None  # the indicator the tile buffer holds whole, while one tile spans the matrix
+        self.whole = _view(self.tile, n, n) if self.width == n else None
+
+    def strips(self, ind: _Indicator, shared: bool = False):
+        """Yield (rows, strip, lo) per row strip of the indicator: its columns lo .. lo + width, zero outside them.
+
+        shared says the right operand is the same indicator.  A symmetric
+        strip is generated over its own tile's envelope only; any other is
+        generated whole and its nonzero span read from it.
+        """
+        whole = self._whole(ind) if shared and self.width == self.n else None
+        for start in range(0, self.n, self.rows):
+            rows = slice(start, min(start + self.rows, self.n))
+            if whole is not None:
+                yield rows, whole[rows], 0
+            elif ind.symmetric:
+                lo, hi = (int(edge[start // self.width]) for edge in ind.envelope)
+                yield rows, ind.fill(rows, slice(lo, max(lo, hi)), self.strip), lo
+            else:
+                strip = ind.fill(rows, slice(0, self.n), self.strip)
+                lo, hi = _span(strip)
+                yield rows, strip[:, lo:hi], lo
+
+    def tiles(self, left: np.ndarray, lo: int, right: _Indicator, start: int = 0, into: np.ndarray | None = None):
+        """Yield (cols, left @ right[:, cols]) per column tile from column start on, into[:, cols] or the product buffer.
+
+        left is the columns lo .. lo + width of a strip that is zero outside them.
+        """
+        n, width, hi = self.n, self.width, lo + left.shape[1]
+        whole = self._whole(right) if width == n else None
+        tile_lo, tile_hi = right.envelope
+        for tile in range(start // width, len(tile_lo)):
+            a, b = max(lo, tile_lo[tile]), min(hi, tile_hi[tile])
+            if a >= b:
+                continue
+            cols = slice(max(start, tile * width), min(tile * width + width, n))
+            block = right.fill(slice(a, b), cols, self.tile) if whole is None else whole[a:b, cols]
+            out = self.out[: len(left) * (cols.stop - cols.start)].reshape(len(left), -1) if into is None else into[:, cols]
+            yield cols, np.matmul(left[:, a - lo:b - lo], block, out=out)
+
+    def _whole(self, ind: _Indicator) -> np.ndarray:
+        """The whole indicator in the tile buffer, generated unless it is already there."""
+        if self.held is not ind:
+            self.held = ind
+            ind.fill(slice(0, self.n), slice(0, self.n), self.tile)
+        return self.whole
+
+
+def _span(strip: np.ndarray) -> tuple:
+    """The first and one past the last column of strip with a nonzero entry; (0, 0) when none has."""
+    nonzero = strip.any(axis=0)
+    if not nonzero.any():
+        return 0, 0
+    return int(nonzero.argmax()), nonzero.size - int(nonzero[::-1].argmax())
+
+
+def _sweep_step(kernel: AffinityMatrix, threshold: float, products: _Products, floor: float) -> float:
     """Smallest affinity the cube of the level set {K >= threshold} reaches, inf if none.
 
     The cube is the positive entries of the float32 path counts of the
     level set's 0/1 indicator.  Every term is a product of nonnegative
     counts, so a sum with a path in it is >= 1 however it rounds.  The
     kernel is symmetric (an AffinityMatrix invariant) and so are the
-    counts: per row block R, the cube's rows on and above the diagonal
-    are (ind[R] @ ind) @ ind[:, R.start:], and only their running minimum
-    of K is kept, until it reaches floor, the kernel minimum (the sweep's
-    last step).  While the threshold is at most the smallest diagonal
-    entry, the cube holds the diagonal and so is never empty.
+    counts: per row strip R, the square's strip ind[R] @ ind is formed
+    tile by tile, and then the cube's tiles on and above the diagonal,
+    square[R] @ ind[:, C]; only their running minimum of K is kept,
+    until it reaches floor, the kernel minimum (the sweep's last step).
+    While the threshold is at most the smallest diagonal entry, the cube
+    holds the diagonal and so is never empty.
     """
-    ind, strip, block = buffers  # from _product_buffers
     values = kernel.values
-    np.greater_equal(values, threshold, out=ind)
+    level = _Indicator(values, np.greater_equal, threshold)
     low = np.inf
-    for rows, cols, left, out in _product_blocks(strip, block, upper=True):
-        cube = np.matmul(np.matmul(ind[rows], ind, out=left), ind[:, cols], out=out)
-        low = min(low, values[rows, cols].min(where=cube > 0, initial=np.inf))
-        if low <= floor:
-            break
+    for rows, strip, lo in products.strips(level, shared=True):
+        square = products.square[: len(strip)]
+        formed = [cols for cols, _ in products.tiles(strip, lo, level, into=square)]
+        for before, after in zip(formed, formed[1:]):
+            square[:, before.stop:after.start] = 0.0  # skipped tiles between formed ones
+        first, last = (formed[0].start, formed[-1].stop) if formed else (0, 0)
+        for cols, cube in products.tiles(square[:, first:last], first, level, start=rows.start):
+            low = min(low, values[rows, cols].min(where=cube > 0, initial=np.inf))
+            if low <= floor:
+                return float(low)
     return float(low)
-
-
-def _product_blocks(strip: np.ndarray, block: np.ndarray, upper: bool):
-    """Yield (rows, cols, left, out) per row block of an n x n product: strip and block views for its rows and cols.
-
-    cols is every column, or with upper only the columns from rows.start
-    on: together those blocks hold every entry on and above the diagonal,
-    which is all of a symmetric product.
-    """
-    step, n = strip.shape
-    for start in range(0, n, step):
-        rows, cols = slice(start, start + step), slice(start if upper else 0, n)
-        count = min(step, n - start)
-        yield rows, cols, strip[:count], block[: count * (n - cols.start)].reshape(count, -1)
 
 
 def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
@@ -203,8 +323,8 @@ def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
     That holds exactly when the sweep's step from lambda(i), the smallest
     affinity the cube of U(i) reaches, is at least lambda(i - 1).
     """
-    buffers, floor = _product_buffers(kernel.n), kernel.values.min()
-    return all(_sweep_step(kernel, seq.values[i], buffers, floor) >= seq.values[i - 1] for i in range(1, seq.k + 1))
+    products, floor = _Products(kernel.n, square=True), kernel.values.min()
+    return all(_sweep_step(kernel, seq.values[i], products, floor) >= seq.values[i - 1] for i in range(1, seq.k + 1))
 
 
 def _band_min(kernel: AffinityMatrix, half: int) -> float:
@@ -218,11 +338,10 @@ def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[np.ndar
     return [_freeze(kernel.values >= t, bool) for t in seq.values]
 
 
-def _row_blocks(n: int):
-    """Row slices of an n x n array, about 8192 entries each, with the masks of their off-diagonal entries."""
-    step = max(1, 8192 // n)
-    for start in range(0, n, step):
-        yield slice(start, start + step), np.arange(start, min(start + step, n))[:, None] != np.arange(n)
+def _row_blocks(n: int, entries: int = 8192) -> list:
+    """Row slices of an n x n array, about entries each."""
+    step = max(1, entries // n)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _inverse_indices(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -235,11 +354,23 @@ def _inverse_indices(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def delta_matrix(kernel: AffinityMatrix, seq: LambdaSequence) -> QuasiMetricMatrix:
     """Dyadic quasi-metric 2 ** -index(K) of the script index, with the diagonal forced to zero."""
-    index = _inverse_indices(seq.values, kernel.values)
-    vals = np.ldexp(1.0, np.negative(index, out=index))
-    np.fill_diagonal(vals, 0.0)
+    vals = _delta_block(kernel, seq, slice(0, kernel.n))
     vals.setflags(write=False)
     return QuasiMetricMatrix(n=kernel.n, values=vals)
+
+
+def _delta_block(kernel: AffinityMatrix, seq: LambdaSequence, rows: slice) -> np.ndarray:
+    """delta_matrix's values[rows], from the script index of those rows alone."""
+    index = _inverse_indices(seq.values, kernel.values[rows])
+    block = np.ldexp(1.0, np.negative(index, out=index))
+    _clear_diagonal(block, rows, slice(0, kernel.n))
+    return block
+
+
+def _delta_rows(kernel: AffinityMatrix, seq: LambdaSequence):
+    """Yield delta_matrix's rows, formed a row block at a time: no float64 n x n array."""
+    for rows in _row_blocks(kernel.n):
+        yield from _delta_block(kernel, seq, rows)
 
 
 def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMatrix:
@@ -257,6 +388,14 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     values = np.ldexp(_closure(_inverse_indices(seq.values, kernel.values), scale), -scale, dtype=np.float64)
     values.setflags(write=False)
     return PseudoMetricMatrix(n=kernel.n, values=values)
+
+
+def _chain_rows(kernel: AffinityMatrix, seq: LambdaSequence):
+    """Yield chain_metric's rows, formed a row block at a time from the integer closure, the only n x n array held."""
+    scale = _chain_scale(seq)
+    closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
+    for rows in _row_blocks(kernel.n):
+        yield from np.ldexp(closure[rows], -scale, dtype=np.float64)
 
 
 def _chain_scale(seq: LambdaSequence) -> int:
@@ -308,18 +447,22 @@ def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
     for s = k + 1 (exact where d is, k <= 52), and d / delta is the exact
     closure * 2 ** (index - s).  The constant is 1.0 below 3 vertices.
     The quasi-triangle products run first, so their buffers and the
-    closure are never alive together.
+    closure are never alive together, and the closure counts its own
+    index; the sandwich and equivalence count it per row block.
     """
     scale = _chain_scale(seq)
-    index = _inverse_indices(seq.values, kernel.values)
     constant = 1.0
     if kernel.n >= 3:
-        level, keys = _ranks(np.negative(index))  # -index ascends as delta = 2 ** -index does
-        constant = _quasi_triangle(level, np.ldexp(1.0, keys), symmetric=True)
-        del level  # freed before the closure
-    closure = _closure(index, scale)
-    sandwich = _sandwich(index, seq.k, lambda idx: closure < 1 << (scale - idx))
-    equivalence = _equivalence(kernel.n, lambda rows, off: np.ldexp(closure[rows], index[rows] - scale, dtype=np.float64))
+        index = _inverse_indices(seq.values, kernel.values)
+        keys = _offdiagonal_values(index, symmetric=True)[::-1]  # descending, as delta = 2 ** -index ascends
+        constant = _quasi_triangle(index, np.greater_equal, keys, np.ldexp(1.0, -keys), symmetric=True)
+        del index  # the closure counts its own, and frees it before its scratch
+    closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
+    sandwich = _sandwich(kernel, seq, lambda rows, idx: closure[rows] < 1 << (scale - idx))
+    equivalence = _equivalence(
+        kernel.n,
+        lambda rows, off: np.ldexp(closure[rows], _inverse_indices(seq.values, kernel.values[rows]) - scale, dtype=np.float64),
+    )
     return sandwich, equivalence, constant
 
 
@@ -333,22 +476,24 @@ def verify_sandwich(
     """
     if kernel.n != metric.n:
         raise InvalidParameterError(f"sizes differ: kernel {kernel.n}, metric {metric.n}")
-    level = _inverse_indices(seq.values, kernel.values)
-    return _sandwich(level, seq.k, lambda idx: metric.values < 2.0 ** -idx)
+    return _sandwich(kernel, seq, lambda rows, idx: metric.values[rows] < 2.0 ** -idx)
 
 
-def _sandwich(level: np.ndarray, k: int, ball) -> SandwichReport:
-    """The sandwich report from the script level index and ball(idx), the mask of {d < 2**-idx}."""
+def _sandwich(kernel: AffinityMatrix, seq: LambdaSequence, ball) -> SandwichReport:
+    """The sandwich report from ball(rows, idx), the mask of {d < 2**-idx} on a row block, and the script index of those rows."""
     # U(j) is {level > j}: the largest j whose U(j) holds the ball is one
     # below the smallest level in the ball (k for an empty ball).
+    k = seq.k
     indices = tuple(range(1, k + 1))
-    left_pass = []
-    right_shift = []
-    for idx in indices:
-        mask = ball(idx)
-        left_pass.append(bool((mask | (level <= idx)).all()))
-        best = int(level.min(where=mask, initial=k + 1)) - 1
-        right_shift.append((best if best >= 0 else -idx - 1) - idx)
+    left_pass = [True] * k
+    smallest = [k + 1] * k
+    for rows in _row_blocks(kernel.n, 65536):  # one block up to n = 256: a pass per level, as over the whole matrix
+        level = _inverse_indices(seq.values, kernel.values[rows])
+        for i, idx in enumerate(indices):
+            mask = ball(rows, idx)
+            left_pass[i] = left_pass[i] and bool((mask | (level <= idx)).all())
+            smallest[i] = min(smallest[i], int(level.min(where=mask, initial=k + 1)))
+    right_shift = [(low - 1 if low >= 1 else -idx - 1) - idx for idx, low in zip(indices, smallest)]
     tightest = min(right_shift) if right_shift else None
     passed = all(left_pass) and (tightest is None or tightest >= -1)
     return SandwichReport(
@@ -374,7 +519,8 @@ def _equivalence(n: int, ratios) -> EquivalenceReport:
     if n < 2:
         return EquivalenceReport(c_lo=float("nan"), c_hi=float("nan"), pairs=0, passed=True)
     c_lo, c_hi = np.inf, -np.inf
-    for rows, off in _row_blocks(n):
+    for rows in _row_blocks(n):
+        off = np.arange(rows.start, rows.stop)[:, None] != np.arange(n)
         block = ratios(rows, off)
         c_lo = float(np.minimum(c_lo, block.min(where=off, initial=np.inf)))  # np.minimum keeps a NaN
         c_hi = float(np.maximum(c_hi, block.max(where=off, initial=-np.inf)))
@@ -386,39 +532,46 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) over distinct x, y, z.
 
     Needs at least 3 vertices and finite, nonnegative entries, else
-    DomainError; triples whose hops sum to zero are skipped.  Each entry's
-    rank among the m distinct off-diagonal values, one byte for m <= 127,
-    goes to _quasi_triangle.  The cost is up to m**2 products: about k + 1
-    for delta_matrix output (m is at most k + 2), slow for m near n**2 / 2.
+    DomainError; triples whose hops sum to zero are skipped.  The m
+    distinct off-diagonal values go to _quasi_triangle, which compares
+    delta with them.  The cost is up to m**2 products: about k + 1 for
+    delta_matrix output (m is at most k + 2), slow for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
     vals = delta.values
     if not (vals.min() >= 0 and vals.max() < np.inf):  # a NaN fails both
         raise DomainError("delta entries must be finite and nonnegative")
-    return _quasi_triangle(*_ranks(vals), symmetric=np.array_equal(vals, vals.T))
+    symmetric = np.array_equal(vals, vals.T)
+    distinct = _offdiagonal_values(vals, symmetric)
+    return _quasi_triangle(vals, np.less_equal, distinct, distinct, symmetric)
 
 
-def _ranks(values: np.ndarray) -> tuple:
-    """_quasi_triangle's ranks of a square array's entries among its sorted distinct off-diagonal values, and those values."""
-    distinct = _distinct(np.concatenate([_distinct(values[rows][off]) for rows, off in _row_blocks(values.shape[0])]))
-    level = _inverse_indices(distinct[1:], values)  # distinct[p] is at level p
-    np.fill_diagonal(level, distinct.size)  # above every level: no indicator holds the diagonal
-    return level, distinct
+def _offdiagonal_values(values: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Sorted distinct off-diagonal entries of a square array, read above the diagonal only when it is symmetric."""
+    n = values.shape[0]
+    parts = []
+    for rows in _row_blocks(n, 16384):
+        first = rows.start if symmetric else 0
+        off = (np.greater if symmetric else np.not_equal)(np.arange(first, n), np.arange(rows.start, rows.stop)[:, None])
+        parts.append(_distinct(values[rows, first:][off]))
+    return _distinct(np.concatenate(parts))
 
 
-def _quasi_triangle(level: np.ndarray, v: np.ndarray, symmetric: bool) -> float:
-    """The constant from each entry's rank among the sorted distinct values v, the diagonal ranked above all.
+def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.ndarray, symmetric: bool) -> float:
+    """The constant from a matrix whose level p is {test(source, cuts[p])} off the diagonal, the pairs with delta <= v[p].
 
-    The float32 product of the 0/1 indicators {level <= p} and
-    {level <= q} marks the pairs (x, z) that hops p then q join; its
-    largest v, x != z, over v[p] + v[q] bounds C from below, and at the
-    worst triple's hops it is C, by the same float division.  Counts are
-    exact for n < 2**24.  {level <= q} fills the right operand and
-    {level <= p} the strip, a row block at a time.
+    v ascends through delta's distinct off-diagonal values.  source is
+    delta itself with test <=, or the script index with test >= and cuts
+    descending, since delta = 2 ** -index.  The float32 product of the
+    0/1 indicators of levels p and q marks the pairs (x, z) that hops p
+    then q join; the deepest level among them, x != z, has delta v[M],
+    and v[M] / (v[p] + v[q]) bounds C from below; at the worst triple's
+    hops it is C, by the same float division.  Counts are exact for
+    n < 2**24.
 
-    For p < q the indicators nest, so the largest level M that hops
-    (p, q) or (q, p) join lies between M(p, p) and M(q, q).  The diagonal
+    For p < q the levels nest, so the deepest level M that hops (p, q)
+    or (q, p) join lies between M(p, p) and M(q, q).  The diagonal
     products go first, by ascending v[q], until max(v) / (v[0] + v[q])
     cannot beat the worst ratio so far.  Where M(p, p) = M(q, q) the
     pair's value is known without a product; otherwise
@@ -428,17 +581,16 @@ def _quasi_triangle(level: np.ndarray, v: np.ndarray, symmetric: bool) -> float:
     (q, p) reaches the transpose, and a diagonal product only on and
     above the diagonal.
     """
-    second, strip, block = _product_buffers(level.shape[0])
+    products = _Products(source.shape[0])
+    level = {cut: p for p, cut in enumerate(cuts.tolist())}
+    # The deepest of some off-diagonal entries: cuts[0] is the shallowest value any can have.
+    deepest = partial((np.maximum if test is np.less_equal else np.minimum).reduce, axis=None, initial=cuts[0])
+    indicators = {}  # per level, so that each envelope is found once
 
     def joined(p: int, q: int, upper: bool) -> int:
-        """The largest level that hops p then q join, or -1 if none."""
-        np.less_equal(level, q, out=second)
-        top = -1
-        for rows, cols, left, out in _product_blocks(strip, block, upper):
-            reach = np.matmul(np.less_equal(level[rows], p, out=left), second[:, cols], out=out)
-            np.fill_diagonal(reach[:, rows.start - cols.start:], 0.0)  # x != z
-            top = max(top, int(level[rows, cols].max(where=reach > 0, initial=-1)))
-        return top
+        """The deepest level that hops p then q join, or -1 if none."""
+        left, right = (indicators.setdefault(i, _Indicator(source, test, cuts[i], False, symmetric)) for i in (p, q))
+        return _joined(products, left, right, upper, deepest, level)
 
     worst = 0.0
     diagonal = []  # M(q, q), nondecreasing in q
@@ -466,10 +618,22 @@ def _quasi_triangle(level: np.ndarray, v: np.ndarray, symmetric: bool) -> float:
     return worst
 
 
+def _joined(products: _Products, left: _Indicator, right: _Indicator, upper: bool, deepest, level: dict) -> int:
+    """level[deepest(source)] over the pairs x != z that left @ right joins (with upper, on and above the diagonal); -1 if none."""
+    reached = []
+    for rows, strip, lo in products.strips(left, shared=left is right):
+        for cols, reach in products.tiles(strip, lo, right, rows.start if upper else 0):
+            _clear_diagonal(reach, rows, cols)  # x != z
+            hit = reach > 0
+            if hit.any():
+                reached.append(deepest(left.source[rows, cols], where=hit))
+    return level[deepest(reached).item()] if reached else -1
+
+
 def _distinct(x: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of a 1-D array, as np.unique finds them but without importing numpy.ma (1.3 MB)."""
     x = np.sort(x)
-    return x[np.append(True, x[1:] != x[:-1])]
+    return x[np.append(True, x[1:] != x[:-1])[: x.size]]
 
 
 def lambda_to_json(seq: LambdaSequence) -> str:

@@ -203,6 +203,60 @@ def reference_diffusion_distance_matrix(decomp, t):
     return out
 
 
+def reference_sweep_step(kernel, threshold):
+    """Smallest affinity the cube of {K >= threshold} reaches, inf if none, from the whole n x n float32 indicator.
+
+    The sweep's step as the library formed it before its products were
+    tiled: row blocks of a quarter of the rows, at least 128, each block's
+    cube (ind[R] @ ind) @ ind[:, R.start:] on and above the diagonal.
+    """
+    values = kernel.values
+    n = kernel.n
+    ind = np.greater_equal(values, threshold).astype(np.float32)
+    step = min(n, max(-(-n // 4), 128))
+    low = np.inf
+    for start in range(0, n, step):
+        rows, cols = slice(start, start + step), slice(start, n)
+        cube = np.matmul(np.matmul(ind[rows], ind), ind[:, cols])
+        low = min(low, values[rows, cols].min(where=cube > 0, initial=np.inf))
+    return float(low)
+
+
+def reference_joined(level, p, q, upper):
+    """The largest level that hops of level <= p then <= q join, x != z, or -1 if none, from the whole float32 indicator {level <= q}.
+
+    The quasi-triangle product as the library formed it before its
+    products were tiled; level ranks the diagonal above every p and q,
+    and with upper only the blocks on and above the diagonal are formed.
+    """
+    n = level.shape[0]
+    second = np.less_equal(level, q).astype(np.float32)
+    step = min(n, max(-(-n // 4), 128))
+    top = -1
+    for start in range(0, n, step):
+        rows, cols = slice(start, start + step), slice(start if upper else 0, n)
+        reach = np.matmul(np.less_equal(level[rows], p).astype(np.float32), second[:, cols])
+        np.fill_diagonal(reach[:, rows.start - cols.start:], 0.0)  # x != z
+        top = max(top, int(level[rows, cols].max(where=reach > 0, initial=-1)))
+    return top
+
+
+def reference_quasi_triangle_constant(values):
+    """The largest v[M(p, q)] / (v[p] + v[q]) over every pair of ranks, M from reference_joined: no pair left out by a bound."""
+    values = np.asarray(values, dtype=np.float64)
+    off = ~np.eye(values.shape[0], dtype=bool)
+    v = np.unique(values[off])
+    level = np.searchsorted(v, values)
+    level[~off] = v.size
+    worst = 0.0
+    for p in range(v.size):
+        for q in range(v.size):
+            top = reference_joined(level, p, q, upper=False)
+            if top >= 0 and v[p] + v[q] > 0:
+                worst = max(worst, float(v[top] / (v[p] + v[q])))
+    return worst
+
+
 def brute_quasi_triangle_constant(values):
     """Max of delta(x, z) / (delta(x, y) + delta(y, z)) over distinct x, y, z with a positive sum."""
     rows = np.asarray(values, dtype=np.float64).tolist()

@@ -14,6 +14,7 @@ from graphmetrize import (
     NumericError,
     compute_lambda_sequence,
     decomposition_from_json,
+    diffusion_distance_matrix,
     graph_laplacian,
     lambda_to_json,
     load_affinity,
@@ -23,7 +24,7 @@ from graphmetrize import (
 )
 from graphmetrize.cli import jaccard, main
 
-from conftest import brute_power3, metrizable_kernels, rank_transform, tensor_diffusion_distances, traced_peak
+from conftest import brute_power3, metrizable_kernels, random_kernel, rank_transform, tensor_diffusion_distances, traced_peak
 
 
 def run(*args):
@@ -75,6 +76,43 @@ def test_pipeline_60_outputs_byte_identical(tmp_path):
         assert run(*command) == 0, command
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_60}
     assert digests == GOLDEN_60
+
+
+# sha256 of the pipeline's outputs on the 300-vertex power-law kernel, where the
+# sweep and the quasi-triangle products run in several 128-wide tiles and the
+# delta and chain CSVs are written a row block at a time.  They are the bytes
+# the untiled products and whole-matrix writes gave.
+GOLDEN_300 = {
+    "k300.csv": "a7327b5fc87b6c231ab56b6ac0de8a006e6f70a0dbe210fa035a9b368d221160",
+    "l.json": "4bb2b9c9c7de415982975d2e65f51963a90e6d9e252b629dea4a55f790fd8820",
+    "delta.csv": "a4af6c59f16f6d7a628b7ffc2d33fc1f50a7eaf300caa30024443115f43f1422",
+    "chain.csv": "5a1a43b150594ba7805441deab4db1182cf98a4b7895df9d4187e94ef8c38024",
+    "weights.csv": "a4af6c59f16f6d7a628b7ffc2d33fc1f50a7eaf300caa30024443115f43f1422",
+    "verify.json": "e652965f33a7734d3ccc4b75729b88da02ead71ba291cc0e1181a591f4658f83",
+    "verify_lambda.json": "e652965f33a7734d3ccc4b75729b88da02ead71ba291cc0e1181a591f4658f83",
+    "balls_f.json": "cd73c673f57803360b1a8d092a5c27744b810b8e206f2222e3a835cffb5897e1",
+    "balls_f.dot": "5c9d0f29b3e9e4cb5ed2524061caaf75ce1d2b57bae1818f1633f5da27489cd0",
+    "compare.json": "5ccbce10c9c683454407c11b6928b8418e66e460a24a21fababd6110bb5b1387",
+}
+
+
+def test_pipeline_300_outputs_byte_identical(tmp_path):
+    k = tmp_path / "k300.csv"
+    lam = tmp_path / "l.json"
+    commands = [
+        ("gen", "--n", 300, "--alpha", 1, "-o", k),
+        ("lambda", "-i", k, "-o", lam),
+        ("delta", "-i", k, "--lambda", lam, "-o", tmp_path / "delta.csv"),
+        ("chain", "-i", k, "--lambda", lam, "-o", tmp_path / "chain.csv", "--weights-output", tmp_path / "weights.csv"),
+        ("verify", "-i", k, "-o", tmp_path / "verify.json"),
+        ("verify", "-i", k, "--lambda", lam, "-o", tmp_path / "verify_lambda.json"),
+        ("balls", "-i", k, "--lambda", lam, "--center", 250, "-o", tmp_path / "balls_f.json", "--dot", tmp_path / "balls_f.dot"),
+        ("compare", "-i", k, "--center", 125, "--radius-f", 0.0625, "--radius-e", 9, "-o", tmp_path / "compare.json"),
+    ]
+    for command in commands:
+        assert run(*command) == 0, command
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_300}
+    assert digests == GOLDEN_300
 
 
 # sha256 of each consumer's output for a sequence that lambda seeds with
@@ -356,6 +394,16 @@ def test_verify_memory_is_quadratic(tmp_path):
     assert peak < 21 * n * n
 
 
+def test_verify_memory_holds_one_square_array_beside_the_kernel(tmp_path):
+    """At n = 600 the sweep's tiles, the one-byte index and the closure stay under 4 n**2 beside the 8 n**2 kernel."""
+    n = 600
+    kernel, report = tmp_path / "k.csv", tmp_path / "report.json"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    peak = traced_peak(run, "verify", "-i", kernel, "-o", report)
+    assert json.loads(report.read_text())["passed"] is True
+    assert peak < 12 * n * n
+
+
 def test_balls_dot_memory_streams_the_text(tmp_path):
     n = 300
     kernel, dot = tmp_path / "k.csv", tmp_path / "b.dot"
@@ -379,11 +427,22 @@ def test_delta_and_chain_csv_unchanged_by_a_rank_transform(tmp_path):
 
 
 def test_chain_with_weights_memory_is_quadratic(tmp_path):
-    n = 300
+    """d and the one-step weights are written a row block at a time, from the closure and the kernel: no float64 n x n array."""
+    n = 600
     kernel = tmp_path / "k.csv"
     assert run("gen", "--n", n, "-o", kernel) == 0
     peak = traced_peak(run, "chain", "-i", kernel, "-o", tmp_path / "d.csv", "--weights-output", tmp_path / "w.csv")
-    assert peak < 21 * n * n
+    assert peak < 12 * n * n
+
+
+def test_delta_memory_is_the_kernel_load(tmp_path):
+    """With a --lambda file, delta holds the kernel and one row block of delta: its peak is the load's."""
+    n = 600
+    kernel, lam = tmp_path / "k.csv", tmp_path / "l.json"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    assert run("lambda", "-i", kernel, "-o", lam) == 0
+    peak = traced_peak(run, "delta", "-i", kernel, "--lambda", lam, "-o", tmp_path / "d.csv")
+    assert peak < 10 * n * n
 
 
 def test_verify_checks_nesting_only_for_a_lambda_file(k60_csv, tmp_path, monkeypatch):
@@ -488,6 +547,25 @@ def test_compare_includes_diffusion(k60_csv, tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload["jaccard"]) == {"D|E", "D|F", "E|F"}
     assert all(0.0 <= v <= 1.0 for v in payload["jaccard"].values())
+
+
+def test_diffusion_ball_outputs_match_the_distance_matrix_row(k60_csv, tmp_path, monkeypatch):
+    """balls --metric D and compare --radius-d write what the center's row of the all-pairs matrix gives."""
+    kernel = tmp_path / "random.csv"
+    write_matrix_csv(random_kernel(np.random.default_rng(7), 40).values, kernel)
+    cases = [(k60_csv, 25, "0.005", "0.5,1.0,1.4", 1.4), (k60_csv, 3, "1.0", "0.3,0.9", 0.9), (kernel, 17, "0.005", "1.3,1.4", 1.4)]
+    outputs = []
+    for use_matrix in (False, True):
+        if use_matrix:
+            monkeypatch.setattr(cli, "_diffusion_distance_row", lambda decomp, t, center: diffusion_distance_matrix(decomp, t)[center])
+        written = []
+        for i, (path, center, t, radii, radius) in enumerate(cases):
+            balls, compare = tmp_path / f"b{i}.json", tmp_path / f"c{i}.json"
+            assert run("balls", "-i", path, "--metric", "D", "--center", center, "--t", t, "--radii", radii, "-o", balls) == 0
+            assert run("compare", "-i", path, "--center", center, "--t", t, "--radius-d", radius, "--radius-e", 4, "-o", compare) == 0
+            written += [balls.read_bytes(), compare.read_bytes()]
+        outputs.append(written)
+    assert outputs[0] == outputs[1]
 
 
 def test_compare_needs_two_metrics(k60_csv, tmp_path):

@@ -21,6 +21,7 @@ from graphmetrize import (
     write_matrix_csv,
 )
 from graphmetrize.cli import main
+from graphmetrize.diffusion import _diffusion_distance_row
 
 from conftest import random_kernel, reference_diffusion_distance_matrix, tensor_diffusion_distances, traced_peak
 
@@ -155,6 +156,18 @@ def test_diffusion_matches_tensor_oracle(corpus):
         for t in (0.005, 0.5, 5.0):
             dt = diffusion_distance_matrix(decomp, t)
             assert np.abs(dt - tensor_diffusion_distances(decomp, t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", (0.005, 1.0, 5.0))
+def test_distance_row_matches_the_matrix_row(corpus, t):
+    """The center's row alone, as balls --metric D and compare --radius-d read it, agrees with the all-pairs matrix."""
+    for kernel in corpus[:8] + [newtonian_kernel(60, 1.0), newtonian_kernel(200, 0.5)]:
+        decomp = spectral_decomposition(kernel)
+        matrix = diffusion_distance_matrix(decomp, t)
+        for center in (0, kernel.n // 3, kernel.n - 1):
+            row = _diffusion_distance_row(decomp, t, center)
+            assert row[center] == 0.0
+            assert np.abs(row - matrix[center]).max() <= 1e-12
 
 
 def test_diffusion_distance_memory_is_quadratic():

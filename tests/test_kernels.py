@@ -175,7 +175,7 @@ def test_load_and_newtonian_hold_the_kernel_once(tmp_path):
     p = tmp_path / "k.csv"
     save_affinity(newtonian_kernel(n, 1.0), p)
     assert traced_peak(load_affinity, p) < 11 * n * n
-    assert traced_peak(newtonian_kernel, n, 1.0) < 17 * n * n
+    assert traced_peak(newtonian_kernel, n, 1.0) < 9 * n * n
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from graphmetrize import (
     verify_sandwich,
 )
 from graphmetrize import metrize
-from graphmetrize.metrize import _band_min, _closure, _inverse_indices, _product_buffers, _sweep_step
+from graphmetrize.metrize import _band_min, _closure, _inverse_indices, _Products, _sweep_step
 
 from conftest import (
     brute_equivalence,
@@ -42,7 +43,10 @@ from conftest import (
     random_kernel,
     rank_transform,
     reference_chain_weights,
+    reference_joined,
+    reference_quasi_triangle_constant,
     reference_sandwich,
+    reference_sweep_step,
     scipy_chain_metric,
     traced_peak,
 )
@@ -100,9 +104,9 @@ def test_lambda_triple_composition_nesting_brute_force():
 
 def assert_nests_by_construction(kernel, seq):
     """lambda(i - 1) is the sweep's step from lambda(i) at every level, so level_nesting holds."""
-    buffers = _product_buffers(kernel.n)
+    products = _Products(kernel.n, square=True)
     floor = kernel.values.min()
-    assert [_sweep_step(kernel, t, buffers, floor) for t in seq.values[1:]] == seq.values[:-1].tolist()
+    assert [_sweep_step(kernel, t, products, floor) for t in seq.values[1:]] == seq.values[:-1].tolist()
     assert level_nesting(kernel, seq)
 
 
@@ -590,22 +594,66 @@ def newtonian_delta(n):
     return delta_matrix(kernel, compute_lambda_sequence(kernel)).values
 
 
-# Products go in blocks of max(n / 4, 128) rows: n = 129 leaves a block of one row, and n = 300
-# has three blocks, the last one ragged.
+# Products go in strips of 128 rows, and tiles of 128 columns once n > 256: n = 129 has a strip of
+# one row beside the one whole tile, and n = 300 has three strips and three tiles, the last ones ragged.
 @pytest.mark.parametrize("n", (129, 300))
 def test_row_blocked_products_match_whole_products(n):
     rng = np.random.default_rng(n)
     kernel = random_kernel(rng, n)
     seq = compute_lambda_sequence(kernel)
-    buffers = _product_buffers(n)
+    products = _Products(n, square=True)
     for t in np.append(seq.values, rng.choice(kernel.values.ravel(), 4)):
         ind = (kernel.values >= t).astype(np.float64)
-        assert _sweep_step(kernel, t, buffers, kernel.values.min()) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
+        assert _sweep_step(kernel, t, products, kernel.values.min()) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
     asymmetric = rng.integers(0, 4, (n, n)) / 4.0
     np.fill_diagonal(asymmetric, 0.0)
     for values in (delta_matrix(kernel, seq).values, newtonian_delta(n), asymmetric):
         qm = QuasiMetricMatrix(n=n, values=values)
         assert quasi_triangle_constant(qm) == middle_vertex_quasi_triangle_constant(values)
+
+
+def tiling_cases(n):
+    """(kernel, delta) pairs at n: the banded power-law kernel, the same with its vertices permuted (no envelope),
+    and an asymmetric delta that doubles a random third of the banded one's entries."""
+    rng = np.random.default_rng(n)
+    banded = newtonian_kernel(n, rng.choice((0.3, 1.0, 3.0)), 2.0)
+    order = rng.permutation(n)
+    permuted = affinity_matrix(banded.values[order][:, order])
+    cases = [(k, delta_matrix(k, compute_lambda_sequence(k)).values) for k in (banded, permuted)]
+    asymmetric = cases[0][1] * np.where(rng.random((n, n)) < 1 / 3, 2.0, 1.0)
+    return cases + [(None, asymmetric)]
+
+
+# Strips are 128 rows; one tile spans the matrix up to n = 256, and beyond it tiles are 128 columns,
+# the last one ragged.
+@pytest.mark.parametrize("n", (255, 256, 257, 383, 385, 520))
+def test_tiled_products_match_reference_oracles(n):
+    for kernel, delta in tiling_cases(n):
+        if kernel is not None:
+            seq = compute_lambda_sequence(kernel)
+            thresholds = np.append(seq.values, np.random.default_rng(n).choice(kernel.values.ravel(), 3))
+            products = _Products(n, square=True)
+            for t in thresholds:
+                assert _sweep_step(kernel, t, products, -np.inf) == reference_sweep_step(kernel, t)
+            steps = [reference_sweep_step(kernel, t) for t in seq.values[1:]]
+            assert steps == seq.values[:-1].tolist()
+            skipping = LambdaSequence(values=seq.values[::2], iterations=0)  # every other level: nesting may fail
+            for s in (seq, skipping):
+                expected = all(reference_sweep_step(kernel, s.values[i]) >= s.values[i - 1] for i in range(1, s.k + 1))
+                assert level_nesting(kernel, s) == expected
+            assert verify_metrization(kernel, seq)[2] == reference_quasi_triangle_constant(delta)
+        symmetric = np.array_equal(delta, delta.T)
+        v = np.unique(delta[~np.eye(n, dtype=bool)])
+        level = np.searchsorted(v, delta)
+        np.fill_diagonal(level, v.size)
+        products = _Products(n)
+        deepest, rank = partial(np.maximum.reduce, axis=None, initial=v[0]), dict(zip(v.tolist(), range(v.size)))
+        for p in range(v.size):
+            for q in range(p if symmetric else 0, v.size):
+                left, right = (metrize._Indicator(delta, np.less_equal, v[i], False, symmetric) for i in (p, q))
+                for upper in (False, True) if p == q and symmetric else (False,):  # a symmetric product
+                    assert metrize._joined(products, left, right, upper, deepest, rank) == reference_joined(level, p, q, upper)
+        assert quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta)) == reference_quasi_triangle_constant(delta)
 
 
 def test_quasi_triangle_memory_is_quadratic():
@@ -614,6 +662,16 @@ def test_quasi_triangle_memory_is_quadratic():
     dm = delta_matrix(kernel, compute_lambda_sequence(kernel))
     peak = traced_peak(quasi_triangle_constant, dm)
     assert peak < 10 * n * n
+
+
+def test_tiled_stages_memory_at_600():
+    """Row strips and column tiles of 128, generated into buffers allocated once per call: no n x n indicator."""
+    n = 600
+    kernel = newtonian_kernel(n, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    assert traced_peak(compute_lambda_sequence, kernel) < 4 * n * n
+    assert traced_peak(level_nesting, kernel, seq) < 4 * n * n
+    assert traced_peak(quasi_triangle_constant, delta_matrix(kernel, seq)) < 3 * n * n
 
 
 def test_quasi_triangle_requires_three_vertices():
@@ -637,12 +695,12 @@ def test_verify_metrization_forms_at_most_k_plus_one_products(monkeypatch):
     assert seq.k == 6
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return product_blocks(*args, **kwargs)
+    def spy(products, indicator, **kwargs):
+        calls.append(indicator)
+        return strips(products, indicator, **kwargs)
 
-    product_blocks = metrize._product_blocks
-    monkeypatch.setattr(metrize, "_product_blocks", spy)
+    strips = metrize._Products.strips  # one call per product
+    monkeypatch.setattr(metrize._Products, "strips", spy)
     _, _, constant = verify_metrization(kernel, seq)
     assert constant == middle_vertex_quasi_triangle_constant(delta_matrix(kernel, seq).values)
     assert 0 < len(calls) <= seq.k + 1
