@@ -65,7 +65,7 @@ def distance_ball(distances, center: int, r: float) -> BallResult:
     """Open ball {v : distances[v] < r} for a precomputed distance row."""
     row = np.asarray(distances, dtype=np.float64)
     center = _check_center(center, row.size)
-    if r <= 0:
+    if not r > 0:  # a NaN fails; an infinite radius holds every vertex
         raise InvalidParameterError(f"radius must be positive, got {r!r}")
     members = frozenset(int(j) for j in np.nonzero(row < r)[0])
     return BallResult(center=center, radius=float(r), members=members)
@@ -95,8 +95,8 @@ def annuli(distances, radii, center: int | None = None) -> AnnulusBands:
     edges = np.asarray(radii, dtype=np.float64)
     if edges.size == 0:
         raise DomainError("radii must be non-empty")
-    if not (np.diff(edges) > 0).all():
-        raise DomainError("radii must be strictly ascending")
+    if np.isnan(edges).any() or not (np.diff(edges) > 0).all():
+        raise DomainError(f"radii must be strictly ascending and not NaN, got {edges.tolist()}")
     if center is None:
         center = int(np.argmin(row))
     center = _check_center(center, row.size)

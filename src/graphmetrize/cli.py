@@ -1,7 +1,8 @@
 """Command line pipeline over the library: generate, measure, export.
 
 Data goes to files, diagnostics go to stderr.  Exit codes: 0 success,
-1 verification failure, 2 bad input or parameters, 3 numeric failure.
+1 verification failure, 2 bad input or parameters, or memory refused,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .balls import (
@@ -219,14 +221,9 @@ def cmd_balls(args: argparse.Namespace, kernel) -> int:
 
 def cmd_verify(args: argparse.Namespace, kernel) -> int:
     report = validate_kernel(kernel)
-    checks = {}
     flags = report.failed_flags()
-    checks["kernel_flags"] = not flags
-    payload = {"flags": {
-        "symmetric": report.symmetric,
-        "diag_dominant": report.diag_dominant,
-        "tridiagonal_positive": report.tridiagonal_positive,
-    }}
+    checks = {"kernel_flags": not flags}
+    payload = {"flags": asdict(report)}
     if flags:
         _info(f"FAIL kernel flags: {', '.join(flags)}")
     else:
@@ -315,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (GraphMetrizeError, OSError) as exc:
         _info(f"error: {exc}")
+        return EXIT_INPUT
+    except MemoryError as exc:
+        _info(f"error: out of memory: {exc}")
         return EXIT_INPUT
 
 

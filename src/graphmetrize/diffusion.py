@@ -115,9 +115,9 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
 
 def _coordinates(decomp: SpectralDecomposition, t: float) -> np.ndarray:
-    """The eigenvector rows scaled by exp(t * eigenvalue); t must be positive."""
-    if t <= 0:
-        raise InvalidParameterError(f"t must be positive, got {t!r}")
+    """The eigenvector rows scaled by exp(t * eigenvalue); t must be finite and positive."""
+    if not 0 < t < np.inf:  # a NaN fails
+        raise InvalidParameterError(f"t must be finite and positive, got {t!r}")
     return decomp.eigenvectors * np.exp(float(t) * decomp.eigenvalues)[None, :]
 
 

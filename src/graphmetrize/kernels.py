@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +26,52 @@ from .errors import (
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """Symmetric nonnegative kernel on n vertices (values is read-only)."""
+    """Symmetric, nonnegative, finite float64 kernel on n >= 2 vertices, with read-only values.
 
-    n: int
+    Every instance is checked when it is built, and values is then frozen
+    in place, so pass an array that nothing else writes to; affinity_matrix
+    copies its input first.  Symmetry is exact, not to a tolerance: a kernel
+    that was built symmetrically stays bit-identical under transposition.
+    The checks make no n x n temporary unless one of them fails.
+    """
+
     values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    def __post_init__(self):
+        arr = self.values
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise MatrixFormatError("affinity values must be a float64 array; affinity_matrix converts others")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise MatrixFormatError(f"affinity matrix must be square, got shape {arr.shape}")
+        if self.n < 2:
+            raise InvalidParameterError("affinity matrix needs at least 2 vertices")
+        lo, hi = arr.min(), arr.max()
+        if not -np.inf < lo <= hi < np.inf:  # a NaN fails
+            raise DomainError("affinities must be finite")
+        # Row i against column i from the diagonal on: a block of rows against its transpose buffers the ufunc.
+        if not all(np.array_equal(arr[i, i:], arr[i:, i]) for i in range(self.n)):
+            i, j = map(int, np.argwhere(arr != arr.T)[0])
+            raise SymmetryError(f"asymmetric entry at ({i}, {j}): {float(arr[i, j])!r} != {float(arr[j, i])!r}")
+        if lo < 0:
+            i, j = map(int, np.argwhere(arr < 0)[0])
+            raise DomainError(f"negative affinity at ({i}, {j}): {float(arr[i, j])!r}")
+        arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structural flags for a kernel."""
+    """Structural flags for a kernel, each True when it holds."""
 
-    symmetric: bool
-    diag_dominant: bool
-    tridiagonal_positive: bool
+    symmetric: bool  # always, since every AffinityMatrix is checked for it
+    diag_dominant: bool  # every diagonal entry is the maximum of its row
+    tridiagonal_positive: bool  # the diagonal and first off-diagonals are positive, so consecutive vertices are related
 
     def failed_flags(self) -> list[str]:
-        names = ("symmetric", "diag_dominant", "tridiagonal_positive")
-        return [name for name in names if not getattr(self, name)]
+        return [name for name, held in asdict(self).items() if not held]
 
 
 def _freeze(values: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -52,33 +81,8 @@ def _freeze(values: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 def affinity_matrix(values) -> AffinityMatrix:
-    """Wrap a copy of a raw square array as an AffinityMatrix, enforcing the invariants.
-
-    Symmetry is checked exactly, not to a tolerance: a kernel that was
-    built symmetrically stays bit-identical under transposition.
-    """
-    return _checked(np.array(values, dtype=np.float64))
-
-
-def _checked(arr: np.ndarray) -> AffinityMatrix:
-    """affinity_matrix for a float64 array that nothing else holds: it is checked and frozen in place."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise MatrixFormatError(f"affinity matrix must be square, got shape {arr.shape}")
-    n = int(arr.shape[0])
-    if n < 2:
-        raise InvalidParameterError("affinity matrix needs at least 2 vertices")
-    if not np.isfinite(arr).all():
-        raise DomainError("affinities must be finite")
-    if not np.array_equal(arr, arr.T):
-        i, j = map(int, np.argwhere(arr != arr.T)[0])
-        raise SymmetryError(
-            f"asymmetric entry at ({i}, {j}): {arr[i, j]!r} != {arr[j, i]!r}"
-        )
-    if (arr < 0).any():
-        i, j = map(int, np.argwhere(arr < 0)[0])
-        raise DomainError(f"negative affinity at ({i}, {j}): {arr[i, j]!r}")
-    arr.setflags(write=False)
-    return AffinityMatrix(n=n, values=arr)
+    """Wrap a float64 copy of a raw square array as an AffinityMatrix."""
+    return AffinityMatrix(np.array(values, dtype=np.float64))
 
 
 def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityMatrix:
@@ -89,9 +93,9 @@ def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityM
     """
     if int(n) != n or n < 2:
         raise InvalidParameterError(f"n must be an integer >= 2, got {n!r}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha!r}")
-    if diag_value < 1.0:
+    if not diag_value >= 1.0:
         raise InvalidParameterError(
             f"diag_value must be >= 1 to keep the diagonal dominant, got {diag_value!r}"
         )
@@ -103,30 +107,17 @@ def newtonian_kernel(n: int, alpha: float, diag_value: float = 2.0) -> AffinityM
     with np.errstate(divide="ignore"):
         vals **= -float(alpha)
     np.fill_diagonal(vals, float(diag_value))
-    vals.setflags(write=False)
-    return AffinityMatrix(n=int(n), values=vals)
+    return AffinityMatrix(vals)
 
 
 def validate_kernel(kernel: AffinityMatrix) -> ValidationReport:
-    """Compute the structural flags the metric constructions rely on.
-
-    diag_dominant: every diagonal entry is the maximum of its row.
-    tridiagonal_positive: the diagonal and both first off-diagonals are
-    strictly positive, so consecutive vertices are always related.
-    """
+    """The structural flags that the metric constructions rely on."""
     v = kernel.values
     diag = np.diagonal(v)
-    symmetric = bool(np.array_equal(v, v.T))
-    diag_dominant = bool((diag == v.max(axis=1)).all())
-    tridiagonal_positive = bool(
-        (diag > 0).all()
-        and (np.diagonal(v, offset=1) > 0).all()
-        and (np.diagonal(v, offset=-1) > 0).all()
-    )
     return ValidationReport(
-        symmetric=symmetric,
-        diag_dominant=diag_dominant,
-        tridiagonal_positive=tridiagonal_positive,
+        True,
+        bool((diag == v.max(axis=1)).all()),
+        bool((diag > 0).all() and (np.diagonal(v, offset=1) > 0).all()),  # offset -1 is its transpose
     )
 
 
@@ -215,7 +206,7 @@ def write_matrix_csv(values, path) -> None:
 
 def load_affinity(path) -> AffinityMatrix:
     """Load a kernel from a headerless CSV file, whatever its suffix."""
-    return _checked(read_matrix_csv(path))
+    return AffinityMatrix(read_matrix_csv(path))
 
 
 def save_affinity(kernel: AffinityMatrix, path) -> None:

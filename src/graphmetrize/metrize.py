@@ -114,8 +114,7 @@ def compute_lambda_sequence(
     returned ascending, so values[-1] is the seed and values[0] is the
     kernel minimum.
     """
-    report = validate_kernel(kernel)
-    bad = [f for f in ("diag_dominant", "tridiagonal_positive") if f in report.failed_flags()]
+    bad = validate_kernel(kernel).failed_flags()
     if bad:
         raise NonMetrizableError(f"kernel fails required flags: {', '.join(bad)}")
     if diagonal_band not in (3, 5):

@@ -101,6 +101,14 @@ def test_distance_ball_strict_sublevel():
     assert ball.members == {0, 1}
 
 
+def test_distance_ball_takes_an_infinite_radius_and_rejects_nan():
+    row = np.array([0.0, 1.0, 2.0, 3.0])
+    assert distance_ball(row, 0, np.inf).members == {0, 1, 2, 3}
+    for r in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidParameterError):
+            distance_ball(row, 0, r)
+
+
 def test_euclidean_distances_examples():
     assert euclidean_distances(4, 0).tolist() == [0.0, 1.0, 2.0, 3.0]
     assert euclidean_distances(60, 59).max() == 59.0
@@ -125,6 +133,10 @@ def test_annuli_rejects_bad_radii():
         annuli([0.0, 1.0], [])
     with pytest.raises(DomainError):
         annuli([0.0, 1.0], [2.0, 1.0])
+    for radii in ([np.nan], [1.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(DomainError):
+            annuli([0.0, 1.0], radii)
+    assert annuli([0.0, 1.0, 5.0], [1.0, np.inf]).band_of == (0, 1, 1)
 
 
 def test_annuli_euclidean_60_against_brute_count():

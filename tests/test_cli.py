@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import graphmetrize.cli as cli
@@ -195,6 +195,37 @@ def test_gen_rejects_n_one(tmp_path):
     assert run("gen", "--n", 1, "--alpha", 1, "-o", tmp_path / "x.csv") == 2
 
 
+GEN_PARAMETERS = st.floats() | st.sampled_from((np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324, -5e-324, 1.0))
+
+
+@seed(10)
+@example(4, np.nan, 2.0)
+@given(st.integers(2, 12), GEN_PARAMETERS, GEN_PARAMETERS)
+@settings(max_examples=200, deadline=None)
+def test_gen_output_always_reads_back(n, alpha, diag):
+    """gen either refuses its parameters and writes nothing, or writes a kernel that lambda and verify read."""
+    with tempfile.TemporaryDirectory() as directory:
+        k = Path(directory) / "k.csv"
+        code = run("gen", "--n", n, f"--alpha={alpha!r}", f"--diag={diag!r}", "-o", k)
+        if code == 2:
+            assert not k.exists()
+            return
+        assert code == 0
+        assert run("lambda", "-i", k, "-o", Path(directory) / "l.json") in (0, 1)
+        assert run("verify", "-i", k, "-o", Path(directory) / "v.json") in (0, 1)
+
+
+def test_refused_allocation_exits_two(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 65.5 EiB for an array with shape (3000000000, 3000000000)")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    out = tmp_path / "k.csv"
+    assert run("gen", "--n", 4, "-o", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+
+
 def test_lambda_command_reproduces_caption(k60_csv, tmp_path):
     out = tmp_path / "l.json"
     assert run("lambda", "-i", k60_csv, "-o", out) == 0
@@ -306,6 +337,28 @@ def test_diffusion_bad_time_writes_nothing(k60_csv, tmp_path):
     out, eig = tmp_path / "dt.csv", tmp_path / "eig.json"
     assert run("diffusion", "-i", k60_csv, "--t", 0, "-o", out, "--eig-output", eig) == 2
     assert not out.exists() and not eig.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("diffusion", "--t", "nan"),
+    ("diffusion", "--t", "inf"),
+    ("balls", "--center", 25, "--metric", "D", "--t", "nan", "--radii", "0.5,1.4"),
+    ("balls", "--center", 25, "--metric", "E", "--radii", "nan"),
+    ("compare", "--center", 25, "--radius-d", "nan", "--radius-e", 4),
+    ("compare", "--center", 25, "--radius-e", "nan", "--radius-f", 0.125),
+])
+def test_non_finite_time_or_nan_radius_exits_two(k60_csv, tmp_path, command):
+    out = tmp_path / "out"
+    assert run(command[0], "-i", k60_csv, *command[1:], "-o", out) == 2
+    assert not out.exists()
+
+
+def test_infinite_radius_is_legal(k60_csv, tmp_path):
+    out = tmp_path / "b.json"
+    assert run("balls", "-i", k60_csv, "--center", 25, "--metric", "E", "--radii", "1,inf", "-o", out) == 0
+    assert json.loads(out.read_text())["band_of"][59] == 1
+    assert run("compare", "-i", k60_csv, "--center", 25, "--radius-f", 0.125, "--radius-e", "inf", "-o", out) == 0
+    assert len(json.loads(out.read_text())["members"]["E"]) == 60
 
 
 def test_balls_f_matches_figure_bands(k60_csv, tmp_path):
@@ -458,6 +511,21 @@ def test_verify_checks_nesting_only_for_a_lambda_file(k60_csv, tmp_path, monkeyp
         assert json.loads(report.read_text())["checks"]["level_nesting"] is True
 
 
+def test_verify_compares_the_kernel_with_its_transpose_once(k60_csv, tmp_path, monkeypatch):
+    """Loading reads each entry on or above the diagonal against its mirror once; validate_kernel and the sweep trust the type."""
+    compared = []
+    array_equal = np.array_equal
+
+    def spy(a, b, *args, **kwargs):
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.may_share_memory(a, b):
+            compared.append(a.size)
+        return array_equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", spy)
+    assert run("verify", "-i", k60_csv, "-o", tmp_path / "report.json") == 0
+    assert sum(compared) == 60 * 61 // 2
+
+
 def test_verify_fails_on_bad_kernel(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,0\n0,1\n")
@@ -529,6 +597,11 @@ def test_verify_nesting_matches_brute_force(case):
     assert payload["checks"]["level_nesting"] is expected
     assert code == (0 if payload["passed"] else 1)
     assert expected or code == 1
+    if expected:
+        # A nested sequence meets the metrization lemma's sharp bounds, not only the paper's limits.
+        assert payload["c_lo"] >= 0.5 and payload["c_hi"] <= 1.0
+        assert payload["quasi_triangle_constant"] <= 2.0
+        assert payload["tightest_shift"] is None or payload["tightest_shift"] >= -1  # None: a single level
 
 
 def test_compare_f_vs_e_matched_interval(k60_csv, tmp_path):

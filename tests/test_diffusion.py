@@ -125,8 +125,11 @@ def test_diffusion_2x2_analytic_case():
 def test_diffusion_requires_positive_time():
     kernel = newtonian_kernel(4, 1.0, 2.0)
     decomp = spectral_decomposition(kernel)
-    with pytest.raises(InvalidParameterError):
-        diffusion_distance_matrix(decomp, 0.0)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            diffusion_distance_matrix(decomp, t)
+        with pytest.raises(InvalidParameterError):
+            _diffusion_distance_row(decomp, t, 0)
 
 
 def test_diffusion_symmetric_zero_diagonal_triangle():

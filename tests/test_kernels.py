@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import graphmetrize
 from graphmetrize import (
+    AffinityMatrix,
     DomainError,
     InvalidParameterError,
     MatrixFormatError,
@@ -158,6 +159,69 @@ def test_affinity_rejects_single_vertex():
 def test_affinity_rejects_non_finite():
     with pytest.raises(DomainError):
         affinity_matrix([[1.0, np.inf], [np.inf, 1.0]])
+
+
+INVALID_KERNELS = {
+    "nan": ([[1.0, np.nan], [np.nan, 1.0]], DomainError, "finite"),
+    "inf": ([[1.0, np.inf], [np.inf, 1.0]], DomainError, "finite"),
+    "-inf": ([[-np.inf, 1.0], [1.0, 1.0]], DomainError, "finite"),
+    "negative": ([[1.0, -0.5], [-0.5, 1.0]], DomainError, r"negative affinity at \(0, 1\)"),
+    "asymmetric": ([[1.0, 2.0], [3.0, 1.0]], SymmetryError, r"\(0, 1\): 2\.0 != 3\.0"),
+    "non-square": ([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]], MatrixFormatError, "square"),
+    "one vertex": ([[1.0]], InvalidParameterError, "2 vertices"),
+}
+
+
+def build_kernel(path: str, rows, directory):
+    """The kernel from rows through one of the construction paths."""
+    if path == "load_affinity":
+        csv = Path(directory) / "k.csv"
+        write_matrix_csv(np.array(rows), csv)
+        return load_affinity(csv)
+    if path == "AffinityMatrix":
+        return AffinityMatrix(np.array(rows))
+    return affinity_matrix(rows)
+
+
+@pytest.mark.parametrize("path", ("affinity_matrix", "load_affinity", "AffinityMatrix"))
+@pytest.mark.parametrize("case", INVALID_KERNELS)
+def test_every_construction_path_rejects_an_invalid_kernel(tmp_path, path, case):
+    rows, error, message = INVALID_KERNELS[case]
+    with pytest.raises(error, match=message):
+        build_kernel(path, rows, tmp_path)
+
+
+@pytest.mark.parametrize("alpha,diag,error", [
+    (np.nan, 2.0, InvalidParameterError),
+    (-1.0, 2.0, InvalidParameterError),
+    (1.0, np.nan, InvalidParameterError),
+    (1.0, -np.inf, InvalidParameterError),
+    (1.0, np.inf, DomainError),
+])
+def test_newtonian_kernel_rejects_non_finite_parameters(alpha, diag, error):
+    with pytest.raises(error):
+        newtonian_kernel(4, alpha, diag)
+
+
+def test_newtonian_kernel_with_infinite_alpha_is_the_tridiagonal():
+    values = newtonian_kernel(5, np.inf).values
+    assert np.array_equal(values, 2.0 * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1))
+
+
+def test_asymmetry_is_named_at_its_first_entry_in_a_later_row():
+    vals = newtonian_kernel(300, 1.0).values.copy()
+    vals[250, 200] = 7.0
+    with pytest.raises(SymmetryError, match=r"\(200, 250\): 0\.02 != 7\.0"):
+        AffinityMatrix(vals)
+
+
+def test_affinity_matrix_constructor_checks_and_freezes_its_array():
+    arr = newtonian_kernel(5, 1.0).values.copy()
+    k = AffinityMatrix(arr)
+    assert k.n == 5 and k.values is arr and not arr.flags.writeable
+    for raw in ([[2.0, 1.0], [1.0, 2.0]], np.array([[2, 1], [1, 2]]), np.ones((2, 2), dtype=np.float32)):
+        with pytest.raises(MatrixFormatError, match="float64"):
+            AffinityMatrix(raw)
 
 
 def test_affinity_matrix_copies_its_input():
