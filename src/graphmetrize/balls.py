@@ -79,6 +79,14 @@ def euclidean_distances(n: int, center: int) -> np.ndarray:
     return np.abs(np.arange(int(n), dtype=np.float64) - float(center))
 
 
+def _checked_radii(radii) -> np.ndarray:
+    """radii as float64; DomainError unless they are non-empty, positive and strictly ascending (an infinite last one is legal)."""
+    edges = np.asarray(radii, dtype=np.float64)
+    if not (edges.size and edges[0] > 0 and (np.diff(edges) > 0).all()):  # a NaN fails
+        raise DomainError(f"radii must be non-empty, positive, strictly ascending and not NaN, got {edges.tolist()}")
+    return edges
+
+
 def _bands(center: int, radii: np.ndarray, band_of: np.ndarray) -> AnnulusBands:
     """AnnulusBands over len(radii) + 1 bands, the palette cycling past its last color."""
     return AnnulusBands(
@@ -92,11 +100,7 @@ def _bands(center: int, radii: np.ndarray, band_of: np.ndarray) -> AnnulusBands:
 def annuli(distances, radii, center: int | None = None) -> AnnulusBands:
     """Assign each vertex the count of radii at or below its distance."""
     row = np.asarray(distances, dtype=np.float64)
-    edges = np.asarray(radii, dtype=np.float64)
-    if edges.size == 0:
-        raise DomainError("radii must be non-empty")
-    if np.isnan(edges).any() or not (np.diff(edges) > 0).all():
-        raise DomainError(f"radii must be strictly ascending and not NaN, got {edges.tolist()}")
+    edges = _checked_radii(radii)
     if center is None:
         center = int(np.argmin(row))
     center = _check_center(center, row.size)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .balls import (
     _check_center,
+    _checked_radii,
     _dot_lines,
     affinity_bands,
     annuli,
@@ -24,6 +25,7 @@ from .balls import (
     euclidean_distances,
 )
 from .diffusion import (
+    _checked_time,
     _decomposition_lines,
     _diffusion_distance_row,
     diffusion_distance_matrix,
@@ -148,11 +150,14 @@ def _sequence_for(args: argparse.Namespace, kernel):
     return compute_lambda_sequence(kernel)
 
 
-def _distance_row(metric: str, args: argparse.Namespace, kernel):
-    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path)."""
+def _distance_row(metric: str, args: argparse.Namespace, kernel, radii):
+    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path); the center, radii and --t are checked before eigh."""
+    center = _check_center(args.center, kernel.n)
+    _checked_radii(radii)
     if metric == "E":
-        return euclidean_distances(kernel.n, args.center)
-    return _diffusion_distance_row(spectral_decomposition(kernel), args.t, _check_center(args.center, kernel.n))
+        return euclidean_distances(kernel.n, center)
+    t = _checked_time(args.t)
+    return _diffusion_distance_row(spectral_decomposition(kernel), t, center)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -186,9 +191,10 @@ def cmd_chain(args: argparse.Namespace, kernel) -> int:
     return EXIT_OK
 
 
-def cmd_diffusion(args: argparse.Namespace, kernel) -> int:
-    decomp = spectral_decomposition(kernel)
-    write_matrix_csv(diffusion_distance_matrix(decomp, args.t), args.output)  # the distances are freed on return
+def cmd_diffusion(args: argparse.Namespace) -> int:
+    t = _checked_time(args.t)
+    decomp = spectral_decomposition(load_affinity(args.input))  # the kernel's only reference (CPython >= 3.11): dropped before eigh
+    write_matrix_csv(diffusion_distance_matrix(decomp, t), args.output)  # the distances are freed on return
     _info(f"diffusion distances at t={args.t} -> {args.output}")
     if args.eig_output is not None:
         with open(args.eig_output, "w") as handle:
@@ -208,7 +214,7 @@ def cmd_balls(args: argparse.Namespace, kernel) -> int:
             raise InvalidParameterError(f"metric {args.metric} needs --radii")
         if args.lambda_path is not None:
             raise InvalidParameterError(f"metric {args.metric} reads no thresholds; drop --lambda")
-        bands = annuli(_distance_row(args.metric, args, kernel), args.radii, args.center)
+        bands = annuli(_distance_row(args.metric, args, kernel, args.radii), args.radii, args.center)
     args.output.write_text(bands_to_json(bands))
     if args.dot is not None:
         with open(args.dot, "w") as handle:
@@ -266,9 +272,9 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
         balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
     elif args.lambda_path is not None:
         raise InvalidParameterError("only --radius-f reads thresholds; drop --lambda")
-    for metric, radius in (("D", args.radius_d), ("E", args.radius_e)):
+    for metric, radius in (("E", args.radius_e), ("D", args.radius_d)):  # D's eigendecomposition last
         if radius is not None:
-            balls[metric] = distance_ball(_distance_row(metric, args, kernel), args.center, radius)
+            balls[metric] = distance_ball(_distance_row(metric, args, kernel, (radius,)), args.center, radius)
     if len(balls) < 2:
         raise InvalidParameterError("compare needs radii for at least two of F, D, E")
     overlaps = {}
@@ -288,12 +294,11 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
     return EXIT_OK
 
 
-# Every command but gen reads a kernel with -i; main loads it once for them.
+# Every command but gen reads a kernel with -i; main loads it once for all but diffusion.
 COMMANDS = {
     "lambda": cmd_lambda,
     "delta": cmd_delta,
     "chain": cmd_chain,
-    "diffusion": cmd_diffusion,
     "balls": cmd_balls,
     "verify": cmd_verify,
     "compare": cmd_compare,
@@ -306,6 +311,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return cmd_gen(args)
+        if args.command == "diffusion":  # it loads its own kernel, to free it before eigh
+            return cmd_diffusion(args)
         return COMMANDS[args.command](args, load_affinity(args.input))
     except NumericError as exc:
         _info(f"numeric error: {exc}")

@@ -26,18 +26,10 @@ class SpectralDecomposition:
 
 
 def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
-    """Symmetric normalized generator D^{-1/2} K D^{-1/2} - I.
+    """Symmetric normalized generator D^{-1/2} K D^{-1/2} - I of a kernel whose every row has a positive sum.
 
-    Parameters
-    ----------
-    kernel : AffinityMatrix
-        Nonnegative symmetric kernel; every row must have positive sum.
-
-    Returns
-    -------
-    ndarray
-        Exactly symmetric n x n matrix with spectrum inside [-2, 0];
-        D^{1/2} applied to the constant vector spans the null space.
+    It is exactly symmetric, with spectrum inside [-2, 0]; D^{1/2} applied
+    to the constant vector spans the null space.
     """
     degrees = kernel.values.sum(axis=1)
     if (degrees <= 0).any():
@@ -51,19 +43,10 @@ def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
 
 
 def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
+    """Full eigendecomposition of a real symmetric matrix by LAPACK's eigh: eigenvalues ascending, eigenvector columns orthonormal.
 
-    eigh reads one triangle and the symmetry check vouches for the other; a LAPACK failure is NumericError.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Real symmetric matrix; asymmetry beyond 1e-12 is rejected.
-
-    Returns
-    -------
-    SpectralDecomposition
-        Eigenvalues ascending with orthonormal eigenvector columns.
+    Asymmetry beyond 1e-12 is DomainError, since eigh reads one triangle
+    and the check vouches for the other; a LAPACK failure is NumericError.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -82,8 +65,10 @@ def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
 
 
 def spectral_decomposition(kernel: AffinityMatrix) -> SpectralDecomposition:
-    """Eigendecomposition of the normalized generator of a kernel."""
-    return eig_symmetric(graph_laplacian(kernel))
+    """Eigendecomposition of the normalized generator of a kernel; a caller that passes its last reference to the kernel frees it before eigh."""
+    generator = graph_laplacian(kernel)
+    del kernel
+    return eig_symmetric(generator)
 
 
 def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.ndarray:
@@ -115,10 +100,15 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
 
 def _coordinates(decomp: SpectralDecomposition, t: float) -> np.ndarray:
-    """The eigenvector rows scaled by exp(t * eigenvalue); t must be finite and positive."""
+    """The eigenvector rows scaled by exp(t * eigenvalue)."""
+    return decomp.eigenvectors * np.exp(_checked_time(t) * decomp.eigenvalues)[None, :]
+
+
+def _checked_time(t: float) -> float:
+    """t as a float; InvalidParameterError unless it is finite and positive."""
     if not 0 < t < np.inf:  # a NaN fails
         raise InvalidParameterError(f"t must be finite and positive, got {t!r}")
-    return decomp.eigenvectors * np.exp(float(t) * decomp.eigenvalues)[None, :]
+    return float(t)
 
 
 def _diffusion_distance_row(decomp: SpectralDecomposition, t: float, center: int) -> np.ndarray:

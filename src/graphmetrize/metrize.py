@@ -159,11 +159,12 @@ def _tile_width(n: int) -> int:
 class _Indicator:
     """The 0/1 matrix test(source, cut) made in float32 a block at a time: {K >= t}, or {delta <= v} or {index >= c} without the diagonal.
 
-    A plain class: a dataclass would cost the import milliseconds.
+    source must be symmetric, and so the indicator is.  A plain class: a
+    dataclass would cost the import milliseconds.
     """
 
-    def __init__(self, source: np.ndarray, test: np.ufunc, cut, diagonal: bool = True, symmetric: bool = True):
-        self.source, self.test, self.cut, self.diagonal, self.symmetric = source, test, cut, diagonal, symmetric
+    def __init__(self, source: np.ndarray, test: np.ufunc, cut, diagonal: bool = True):
+        self.source, self.test, self.cut, self.diagonal = source, test, cut, diagonal
         n = source.shape[0]
         self._envelope = ([0], [n]) if _tile_width(n) == n else None
 
@@ -177,18 +178,17 @@ class _Indicator:
 
     @property
     def envelope(self) -> tuple:
-        """Per column tile, the rows [lo, hi) outside which it is zero (lo >= hi if all of it is), by argmax over the transpose's rows.
+        """Per column tile, the rows [lo, hi) outside which it is zero (lo >= hi if all of it is), by argmax along the rows: row j is column j.
 
         The diagonal is counted even where it is left out, which only widens a span.
         """
         if self._envelope is not None:
             return self._envelope
-        source = self.source if self.symmetric else self.source.T
-        n = source.shape[0]
+        n = self.source.shape[0]
         first, last = np.empty(n, np.intp), np.empty(n, np.intp)
         per = max(1, 32768 // n)
         for start in range(0, n, per):
-            hit = self.test(source[start:start + per], self.cut)
+            hit = self.test(self.source[start:start + per], self.cut)
             rows = slice(start, start + len(hit))
             first[rows] = hit.argmax(axis=1)
             last[rows] = n - hit[:, ::-1].argmax(axis=1)
@@ -236,22 +236,18 @@ class _Products:
     def strips(self, ind: _Indicator, shared: bool = False):
         """Yield (rows, strip, lo) per row strip of the indicator: its columns lo .. lo + width, zero outside them.
 
-        shared says the right operand is the same indicator.  A symmetric
-        strip is generated over its own tile's envelope only; any other is
-        generated whole and its nonzero span read from it.
+        shared says the right operand is the same indicator.  The indicator
+        is symmetric, so a strip's nonzero columns are its own column
+        tile's envelope, and only they are generated.
         """
         whole = self._whole(ind) if shared and self.width == self.n else None
         for start in range(0, self.n, self.rows):
             rows = slice(start, min(start + self.rows, self.n))
             if whole is not None:
                 yield rows, whole[rows], 0
-            elif ind.symmetric:
+            else:
                 lo, hi = (int(edge[start // self.width]) for edge in ind.envelope)
                 yield rows, ind.fill(rows, slice(lo, max(lo, hi)), self.strip), lo
-            else:
-                strip = ind.fill(rows, slice(0, self.n), self.strip)
-                lo, hi = _span(strip)
-                yield rows, strip[:, lo:hi], lo
 
     def tiles(self, left: np.ndarray, lo: int, right: _Indicator, start: int = 0, into: np.ndarray | None = None):
         """Yield (cols, left @ right[:, cols]) per column tile from column start on, into[:, cols] or the product buffer.
@@ -276,14 +272,6 @@ class _Products:
             self.held = ind
             ind.fill(slice(0, self.n), slice(0, self.n), self.tile)
         return self.whole
-
-
-def _span(strip: np.ndarray) -> tuple:
-    """The first and one past the last column of strip with a nonzero entry; (0, 0) when none has."""
-    nonzero = strip.any(axis=0)
-    if not nonzero.any():
-        return 0, 0
-    return int(nonzero.argmax()), nonzero.size - int(nonzero[::-1].argmax())
 
 
 def _sweep_step(kernel: AffinityMatrix, threshold: float, products: _Products, floor: float) -> float:
@@ -390,11 +378,13 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
 
 
 def _chain_rows(kernel: AffinityMatrix, seq: LambdaSequence):
-    """Yield chain_metric's rows, formed a row block at a time from the integer closure, the only n x n array held."""
+    """An iterator over chain_metric's rows, formed a row block at a time from the integer closure, the only n x n array held.
+
+    k is checked and the closure built before it returns, so a writer of the rows fails before it opens its output.
+    """
     scale = _chain_scale(seq)
     closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
-    for rows in _row_blocks(kernel.n):
-        yield from np.ldexp(closure[rows], -scale, dtype=np.float64)
+    return (row for rows in _row_blocks(kernel.n) for row in np.ldexp(closure[rows], -scale, dtype=np.float64))
 
 
 def _chain_scale(seq: LambdaSequence) -> int:
@@ -453,8 +443,8 @@ def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
     constant = 1.0
     if kernel.n >= 3:
         index = _inverse_indices(seq.values, kernel.values)
-        keys = _offdiagonal_values(index, symmetric=True)[::-1]  # descending, as delta = 2 ** -index ascends
-        constant = _quasi_triangle(index, np.greater_equal, keys, np.ldexp(1.0, -keys), symmetric=True)
+        keys = _offdiagonal_values(index)[::-1]  # descending, as delta = 2 ** -index ascends
+        constant = _quasi_triangle(index, np.greater_equal, keys, np.ldexp(1.0, -keys))
         del index  # the closure counts its own, and frees it before its scratch
     closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
     sandwich = _sandwich(kernel, seq, lambda rows, idx: closure[rows] < 1 << (scale - idx))
@@ -530,34 +520,33 @@ def _equivalence(n: int, ratios) -> EquivalenceReport:
 def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) over distinct x, y, z.
 
-    Needs at least 3 vertices and finite, nonnegative entries, else
-    DomainError; triples whose hops sum to zero are skipped.  The m
-    distinct off-diagonal values go to _quasi_triangle, which compares
-    delta with them.  The cost is up to m**2 products: about k + 1 for
-    delta_matrix output (m is at most k + 2), slow for m near n**2 / 2.
+    Needs at least 3 vertices and symmetric, finite, nonnegative entries,
+    else DomainError (delta_matrix output always is symmetric); triples
+    whose hops sum to zero are skipped.  The m distinct off-diagonal
+    values go to _quasi_triangle, which compares delta with them.  The
+    cost is up to m**2 products: about k + 1 for delta_matrix output (m
+    is at most k + 2), slow for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
     vals = delta.values
-    if not (vals.min() >= 0 and vals.max() < np.inf):  # a NaN fails both
-        raise DomainError("delta entries must be finite and nonnegative")
-    symmetric = np.array_equal(vals, vals.T)
-    distinct = _offdiagonal_values(vals, symmetric)
-    return _quasi_triangle(vals, np.less_equal, distinct, distinct, symmetric)
+    if not (vals.min() >= 0 and vals.max() < np.inf and np.array_equal(vals, vals.T)):  # a NaN fails
+        raise DomainError("delta must be symmetric, finite and nonnegative")
+    distinct = _offdiagonal_values(vals)
+    return _quasi_triangle(vals, np.less_equal, distinct, distinct)
 
 
-def _offdiagonal_values(values: np.ndarray, symmetric: bool) -> np.ndarray:
-    """Sorted distinct off-diagonal entries of a square array, read above the diagonal only when it is symmetric."""
+def _offdiagonal_values(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct off-diagonal entries of a symmetric square array, read above the diagonal."""
     n = values.shape[0]
     parts = []
     for rows in _row_blocks(n, 16384):
-        first = rows.start if symmetric else 0
-        off = (np.greater if symmetric else np.not_equal)(np.arange(first, n), np.arange(rows.start, rows.stop)[:, None])
-        parts.append(_distinct(values[rows, first:][off]))
+        above = np.greater(np.arange(rows.start, n), np.arange(rows.start, rows.stop)[:, None])
+        parts.append(_distinct(values[rows, rows.start:][above]))
     return _distinct(np.concatenate(parts))
 
 
-def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.ndarray, symmetric: bool) -> float:
+def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.ndarray) -> float:
     """The constant from a matrix whose level p is {test(source, cuts[p])} off the diagonal, the pairs with delta <= v[p].
 
     v ascends through delta's distinct off-diagonal values.  source is
@@ -576,9 +565,9 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
     pair's value is known without a product; otherwise
     v[M(q, q)] / (v[p] + v[q]) bounds it, and the pairs are formed by
     descending bound until none beats the worst ratio, from a heap with
-    one entry per q.  For symmetric delta only (p, q) is formed, since
-    (q, p) reaches the transpose, and a diagonal product only on and
-    above the diagonal.
+    one entry per q.  source is symmetric, so only (p, q) is formed,
+    since (q, p) reaches the transpose, and a diagonal product only on
+    and above the diagonal.
     """
     products = _Products(source.shape[0])
     level = {cut: p for p, cut in enumerate(cuts.tolist())}
@@ -588,7 +577,7 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
 
     def joined(p: int, q: int, upper: bool) -> int:
         """The deepest level that hops p then q join, or -1 if none."""
-        left, right = (indicators.setdefault(i, _Indicator(source, test, cuts[i], False, symmetric)) for i in (p, q))
+        left, right = (indicators.setdefault(i, _Indicator(source, test, cuts[i], False)) for i in (p, q))
         return _joined(products, left, right, upper, deepest, level)
 
     worst = 0.0
@@ -596,7 +585,7 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
     for q in range(v.size):
         if v[0] + v[q] > 0 and v[-1] / (v[0] + v[q]) <= worst:
             break
-        top = joined(q, q, symmetric)
+        top = joined(q, q, True)
         diagonal.append(top)
         p = bisect.bisect_left(diagonal, top)  # from p on, M(p, q) = M(q, q)
         if top >= 0 and v[p] + v[q] > 0:
@@ -606,14 +595,13 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
     heap = [(-v[top] / (v[0] + v[q]), q, 0) for q, top in enumerate(diagonal) if diagonal[0] < top]
     heapq.heapify(heap)
     while heap and -heap[0][0] > worst:
-        bound, q, p = heapq.heappop(heap)
+        _, q, p = heapq.heappop(heap)
         top = diagonal[q]
         if diagonal[p + 1] < top:
             heapq.heappush(heap, (-v[top] / (v[p + 1] + v[q]), q, p + 1))
-        for a, b in [(p, q)] if symmetric else [(p, q), (q, p)]:
-            reached = joined(a, b, False) if -bound > worst else -1
-            if reached >= 0:
-                worst = max(worst, float(v[reached] / (v[p] + v[q])))
+        reached = joined(p, q, False)
+        if reached >= 0:
+            worst = max(worst, float(v[reached] / (v[p] + v[q])))
     return worst
 
 

@@ -23,7 +23,7 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 from hypothesis import strategies as st
 
-from graphmetrize import affinity_matrix, chain_metric, compute_lambda_sequence, delta_matrix
+from graphmetrize import affinity_matrix, chain_metric, compute_lambda_sequence, delta_matrix, metrize
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 100
@@ -57,6 +57,18 @@ def corpus_pipeline(corpus):
         pm = chain_metric(kernel, seq)
         out.append((kernel, seq, dm, pm))
     return out
+
+
+@pytest.fixture(params=range(1, 6))
+def small_tiles(request, monkeypatch):
+    """Strips and column tiles of the indicator products request.param wide, instead of 128.
+
+    metrize reads _TILE at call time, so at n <= 25 several tiles form,
+    most of them ragged, and the envelopes skip some.  A Hypothesis
+    property that takes this fixture keeps one width for all its examples.
+    """
+    monkeypatch.setattr(metrize, "_TILE", request.param)
+    return request.param
 
 
 @st.composite

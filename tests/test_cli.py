@@ -20,6 +20,7 @@ from graphmetrize import (
     load_affinity,
     newtonian_kernel,
     read_matrix_csv,
+    spectral_decomposition,
     write_matrix_csv,
 )
 from graphmetrize.cli import jaccard, main
@@ -314,9 +315,13 @@ def test_chain_over_sixty_levels_exits_two(tmp_path):
     entries = sorted(values[rows, cols].tolist())
     lam = tmp_path / "l.json"
     lam.write_text(json.dumps({"values": entries + [1.0], "iterations": 1}))
-    assert run("chain", "-i", kernel, "--lambda", lam, "-o", tmp_path / "d.csv") == 2
+    # k > 60 is refused before any output is opened: no empty CSV or report is left behind.
+    out, weights, report = tmp_path / "d.csv", tmp_path / "w.csv", tmp_path / "v.json"
+    assert run("chain", "-i", kernel, "--lambda", lam, "-o", out, "--weights-output", weights) == 2
+    assert run("verify", "-i", kernel, "--lambda", lam, "-o", report) == 2
+    assert not out.exists() and not weights.exists() and not report.exists()
     lam.write_text(json.dumps({"values": entries[6:] + [1.0], "iterations": 1}))
-    assert run("chain", "-i", kernel, "--lambda", lam, "-o", tmp_path / "d.csv") == 0
+    assert run("chain", "-i", kernel, "--lambda", lam, "-o", out) == 0
 
 
 def test_diffusion_eig_output(k60_csv, tmp_path):
@@ -455,6 +460,15 @@ def test_verify_memory_holds_one_square_array_beside_the_kernel(tmp_path):
     peak = traced_peak(run, "verify", "-i", kernel, "-o", report)
     assert json.loads(report.read_text())["passed"] is True
     assert peak < 12 * n * n
+
+
+def test_diffusion_frees_the_kernel_before_eigh(tmp_path):
+    """At n = 600 the eigenvectors, the scaled coordinates and the distances peak at 24 n**2: the 8 n**2 kernel is gone by then."""
+    n = 600
+    kernel = tmp_path / "k.csv"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    peak = traced_peak(run, "diffusion", "-i", kernel, "-o", tmp_path / "dt.csv")
+    assert peak < 28 * n * n
 
 
 def test_balls_dot_memory_streams_the_text(tmp_path):
@@ -691,6 +705,90 @@ def test_out_of_range_center_exits_two(k60_csv, tmp_path):
                    "--radii", "1", "-o", tmp_path / "b.json") == 2
     assert run("compare", "-i", k60_csv, "--center", 60, "--radius-d", 1.0,
                "--radius-e", 4, "-o", tmp_path / "c.json") == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("diffusion", "--t", "nan"),
+    ("balls", "--metric", "D", "--center", 25, "--t", "nan", "--radii", "0.5,1.4"),
+    ("balls", "--metric", "D", "--center", 60, "--radii", "0.5,1.4"),
+    ("balls", "--metric", "D", "--center", 25, "--radii", "1.4,nan"),
+    ("compare", "--center", 60, "--radius-d", 1.0, "--radius-e", 4),
+    ("compare", "--center", 25, "--radius-d", "nan", "--radius-e", 4),
+    ("compare", "--center", 25, "--radius-d", 1.0, "--radius-e", "nan"),
+    ("compare", "--center", 25, "--t", "nan", "--radius-d", 1.0, "--radius-e", 4),
+])
+def test_bad_parameters_exit_before_the_eigendecomposition(k60_csv, tmp_path, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "spectral_decomposition", lambda kernel: calls.append(kernel) or spectral_decomposition(kernel))
+    out = tmp_path / "out"
+    assert run(command[0], "-i", k60_csv, *command[1:], "-o", out) == 2
+    assert calls == [] and not out.exists()
+
+
+BAD_TIME = st.sampled_from(("nan", "inf")) | st.floats(max_value=0.0).map(repr)
+BAD_RADIUS = st.just("nan") | st.floats(max_value=0.0).map(repr)
+
+
+@st.composite
+def bad_arguments(draw):
+    """A metrizable kernel of n <= 12 vertices, argv of one subcommand with one bad value, and the thresholds for --lambda.
+
+    The bad values: a NaN, infinite or nonpositive --t or --lambda0; a NaN
+    or nonpositive radius, or a --radius-f outside (0, 1] (other radii may
+    be infinite); a center outside 0 .. n - 1; a --lambda file of k > 60
+    (at n <= 12 not all its thresholds can be kernel entries) or with a
+    threshold below the top one that is no kernel entry.  "{lam}" and
+    "{extra}" stand for the --lambda file and a second output path.
+    """
+    n = draw(st.integers(2, 12))
+    kernel = draw(metrizable_kernels(n))
+    values = compute_lambda_sequence(kernel).values.tolist()
+    entries = set(kernel.values.ravel().tolist())
+    foreign = draw(st.floats(0.0, values[-1], exclude_max=True).filter(lambda x: x not in entries))
+    deep = np.linspace(0.0, values[-1], draw(st.integers(62, 70))).tolist()
+    thresholds = draw(st.sampled_from((deep, sorted(set(values[:-1]) | {foreign}) + values[-1:])))
+    time, radius = draw(BAD_TIME), draw(BAD_RADIUS)
+    radius_f = draw(BAD_RADIUS | st.floats(min_value=1.0, exclude_min=True).map(repr))
+    good = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3, unique=True)))
+    at = draw(st.integers(0, len(good)))
+    radii, bad_radii = ",".join(map(repr, good)), ",".join(map(repr, good[:at])) + f",{radius}," + ",".join(map(repr, good[at:]))
+    metric = draw(st.sampled_from("DE"))
+    center, bad_center = f"--center={draw(st.integers(0, n - 1))}", f"--center={draw(st.integers(-1000, -1) | st.integers(n, n + 1000))}"
+    argv = draw(st.sampled_from([
+        ["lambda", f"--lambda0={time}"],
+        ["delta", "--lambda={lam}"],
+        ["chain", "--lambda={lam}", "--weights-output={extra}"],
+        ["diffusion", f"--t={time}", "--eig-output={extra}"],
+        ["balls", bad_center, "--dot={extra}"],
+        ["balls", center, "--lambda={lam}", "--dot={extra}"],
+        ["balls", "--metric=D", center, f"--t={time}", f"--radii={radii}", "--dot={extra}"],
+        ["balls", f"--metric={metric}", center, f"--radii={bad_radii.strip(',')}", "--dot={extra}"],
+        ["balls", f"--metric={metric}", bad_center, f"--radii={radii}"],
+        ["verify", "--lambda={lam}"],
+        ["compare", bad_center, "--radius-f=0.5", f"--radius-{metric.lower()}=1.0"],
+        ["compare", center, "--lambda={lam}", "--radius-f=0.5", "--radius-e=1.0"],
+        ["compare", center, f"--radius-f={radius_f}", "--radius-e=1.0"],
+        ["compare", center, f"--radius-{metric.lower()}={radius}", "--radius-f=0.5"],
+        ["compare", center, f"--t={time}", "--radius-d=1.0", "--radius-e=1.0"],
+    ]))
+    return kernel, argv, thresholds
+
+
+@seed(11)
+@given(bad_arguments())
+@example((newtonian_kernel(4, 1.0, 2.0), ["balls", "--metric=E", "--center=0", "--radii=-1.0,2.0"], [1.0]))
+@settings(max_examples=200, deadline=None)
+def test_bad_arguments_exit_two_or_three_and_write_nothing(case):
+    """Every subcommand refuses a bad value with exit 2 or 3 and leaves none of its output paths behind."""
+    kernel, argv, thresholds = case
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        paths = {"lam": directory / "l.json", "extra": directory / "extra", "out": directory / "out"}
+        write_matrix_csv(kernel.values, directory / "k.csv")
+        paths["lam"].write_text(json.dumps({"values": thresholds, "iterations": 0}))
+        argv = [arg.format(**paths) for arg in argv] + ["-i", str(directory / "k.csv"), "-o", str(paths["out"])]
+        assert main(argv) in (2, 3)
+        assert not paths["out"].exists() and not paths["extra"].exists()
 
 
 def test_numeric_failure_exits_three(k60_csv, tmp_path, monkeypatch):

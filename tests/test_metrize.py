@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -122,6 +122,16 @@ def test_swept_sequence_nests_by_construction_property(kernel, band, fraction):
     band_min = _band_min(kernel, (band - 1) // 2)
     override = None if fraction is None or band_min == 0 else band_min * fraction
     assert_nests_by_construction(kernel, compute_lambda_sequence(kernel, band, override))
+
+
+@seed(8)
+@given(st.integers(2, 12).flatmap(metrizable_kernels), st.sampled_from((3, 5)))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_small_tiles_sweep_and_nesting_match_reference_property(small_tiles, kernel, band):
+    """In tiles 1 to 5 wide the sweep steps as the untiled reference does, and level_nesting agrees with it."""
+    seq = compute_lambda_sequence(kernel, band)
+    assert_nests_by_construction(kernel, seq)
+    assert_sweep_matches_reference(kernel, seq)
 
 
 def test_swept_sequence_nests_by_construction_on_corpus(corpus_pipeline):
@@ -582,11 +592,12 @@ def test_quasi_triangle_matches_brute_force_oracle(corpus):
     assert all(np.array_equal(d.values, searchsorted_delta(k, "script").values) for k, d in zip(corpus, script))
     cases = script + [searchsorted_delta(kernel, variant) for kernel in corpus for variant in ("upper", "lower")]
     cases += euclidean_quasi_metrics(rng)
-    asymmetric = np.round(rng.random((9, 9)), 1)
-    np.fill_diagonal(asymmetric, 0.0)
-    cases.append(QuasiMetricMatrix(n=9, values=asymmetric))
     for qm in cases:
         assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(qm.values)
+    asymmetric = np.round(rng.random((9, 9)), 1)
+    np.fill_diagonal(asymmetric, 0.0)
+    with pytest.raises(DomainError, match="symmetric"):
+        quasi_triangle_constant(QuasiMetricMatrix(n=9, values=asymmetric))
 
 
 def newtonian_delta(n):
@@ -607,14 +618,16 @@ def test_row_blocked_products_match_whole_products(n):
         assert _sweep_step(kernel, t, products, kernel.values.min()) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
     asymmetric = rng.integers(0, 4, (n, n)) / 4.0
     np.fill_diagonal(asymmetric, 0.0)
-    for values in (delta_matrix(kernel, seq).values, newtonian_delta(n), asymmetric):
+    for values in (delta_matrix(kernel, seq).values, newtonian_delta(n)):
         qm = QuasiMetricMatrix(n=n, values=values)
         assert quasi_triangle_constant(qm) == middle_vertex_quasi_triangle_constant(values)
+    with pytest.raises(DomainError, match="symmetric"):
+        quasi_triangle_constant(QuasiMetricMatrix(n=n, values=asymmetric))
 
 
 def tiling_cases(n):
     """(kernel, delta) pairs at n: the banded power-law kernel, the same with its vertices permuted (no envelope),
-    and an asymmetric delta that doubles a random third of the banded one's entries."""
+    and an asymmetric delta that doubles a random third of the banded one's entries, which is refused."""
     rng = np.random.default_rng(n)
     banded = newtonian_kernel(n, rng.choice((0.3, 1.0, 3.0)), 2.0)
     order = rng.permutation(n)
@@ -624,36 +637,58 @@ def tiling_cases(n):
     return cases + [(None, asymmetric)]
 
 
+def assert_sweep_matches_reference(kernel, seq):
+    """seq steps as reference_sweep_step does, and level_nesting agrees with it on seq and on every other level of seq."""
+    steps = [reference_sweep_step(kernel, t) for t in seq.values[1:]]
+    assert steps == seq.values[:-1].tolist()
+    skipping = LambdaSequence(values=seq.values[::2], iterations=0)  # every other level: nesting may fail
+    for s in (seq, skipping):
+        expected = all(reference_sweep_step(kernel, s.values[i]) >= s.values[i - 1] for i in range(1, s.k + 1))
+        assert level_nesting(kernel, s) == expected
+
+
+def assert_tiled_products_match_reference_oracles(kernel, delta):
+    """The sweep steps, level_nesting, the joined products and the constants of a tiling case against the untiled oracles."""
+    n = delta.shape[0]
+    if kernel is not None:
+        seq = compute_lambda_sequence(kernel)
+        thresholds = np.append(seq.values, np.random.default_rng(n).choice(kernel.values.ravel(), 3))
+        products = _Products(n, square=True)
+        for t in thresholds:
+            assert _sweep_step(kernel, t, products, -np.inf) == reference_sweep_step(kernel, t)
+        assert_sweep_matches_reference(kernel, seq)
+        assert verify_metrization(kernel, seq)[2] == reference_quasi_triangle_constant(delta)
+    if not np.array_equal(delta, delta.T):
+        with pytest.raises(DomainError, match="symmetric"):
+            quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta))
+        return
+    v = np.unique(delta[~np.eye(n, dtype=bool)])
+    level = np.searchsorted(v, delta)
+    np.fill_diagonal(level, v.size)
+    products = _Products(n)
+    deepest, rank = partial(np.maximum.reduce, axis=None, initial=v[0]), dict(zip(v.tolist(), range(v.size)))
+    for p in range(v.size):
+        for q in range(p, v.size):
+            left, right = (metrize._Indicator(delta, np.less_equal, v[i], False) for i in (p, q))
+            for upper in (False, True) if p == q else (False,):  # a symmetric product
+                assert metrize._joined(products, left, right, upper, deepest, rank) == reference_joined(level, p, q, upper)
+    assert quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta)) == reference_quasi_triangle_constant(delta)
+
+
 # Strips are 128 rows; one tile spans the matrix up to n = 256, and beyond it tiles are 128 columns,
 # the last one ragged.
 @pytest.mark.parametrize("n", (255, 256, 257, 383, 385, 520))
 def test_tiled_products_match_reference_oracles(n):
     for kernel, delta in tiling_cases(n):
-        if kernel is not None:
-            seq = compute_lambda_sequence(kernel)
-            thresholds = np.append(seq.values, np.random.default_rng(n).choice(kernel.values.ravel(), 3))
-            products = _Products(n, square=True)
-            for t in thresholds:
-                assert _sweep_step(kernel, t, products, -np.inf) == reference_sweep_step(kernel, t)
-            steps = [reference_sweep_step(kernel, t) for t in seq.values[1:]]
-            assert steps == seq.values[:-1].tolist()
-            skipping = LambdaSequence(values=seq.values[::2], iterations=0)  # every other level: nesting may fail
-            for s in (seq, skipping):
-                expected = all(reference_sweep_step(kernel, s.values[i]) >= s.values[i - 1] for i in range(1, s.k + 1))
-                assert level_nesting(kernel, s) == expected
-            assert verify_metrization(kernel, seq)[2] == reference_quasi_triangle_constant(delta)
-        symmetric = np.array_equal(delta, delta.T)
-        v = np.unique(delta[~np.eye(n, dtype=bool)])
-        level = np.searchsorted(v, delta)
-        np.fill_diagonal(level, v.size)
-        products = _Products(n)
-        deepest, rank = partial(np.maximum.reduce, axis=None, initial=v[0]), dict(zip(v.tolist(), range(v.size)))
-        for p in range(v.size):
-            for q in range(p if symmetric else 0, v.size):
-                left, right = (metrize._Indicator(delta, np.less_equal, v[i], False, symmetric) for i in (p, q))
-                for upper in (False, True) if p == q and symmetric else (False,):  # a symmetric product
-                    assert metrize._joined(products, left, right, upper, deepest, rank) == reference_joined(level, p, q, upper)
-        assert quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta)) == reference_quasi_triangle_constant(delta)
+        assert_tiled_products_match_reference_oracles(kernel, delta)
+
+
+# With strips and tiles 1 to 5 wide, n = 3 .. 25 forms several tiles, most of them ragged, skips
+# tiles outside the envelopes and zeroes the square between formed tiles.
+@pytest.mark.parametrize("n", (3, 7, 12, 25))
+def test_small_tiles_match_reference_oracles(small_tiles, n):
+    for kernel, delta in tiling_cases(n):
+        assert_tiled_products_match_reference_oracles(kernel, delta)
 
 
 def test_quasi_triangle_memory_is_quadratic():
@@ -706,8 +741,8 @@ def test_verify_metrization_forms_at_most_k_plus_one_products(monkeypatch):
     assert 0 < len(calls) <= seq.k + 1
 
 
-# Continuous entries give m near n**2 / 2 distinct values (n**2 - n when asymmetric): the candidate
-# pairs must stay in a heap of one entry per value, never a list of all m**2 / 2 pairs.
+# Continuous entries give m near n**2 / 2 distinct values (n**2 - n when asymmetric, which is refused):
+# the candidate pairs must stay in a heap of one entry per value, never a list of all m**2 / 2 pairs.
 @pytest.mark.parametrize("symmetric", (True, False))
 def test_quasi_triangle_continuous_delta_matches_brute_force_in_linear_memory(symmetric):
     n = 40
@@ -719,6 +754,10 @@ def test_quasi_triangle_continuous_delta_matches_brute_force_in_linear_memory(sy
     m = np.unique(values[~np.eye(n, dtype=bool)]).size
     assert m == (n * n - n) // (2 if symmetric else 1)
     qm = QuasiMetricMatrix(n=n, values=values)
+    if not symmetric:
+        with pytest.raises(DomainError, match="symmetric"):
+            quasi_triangle_constant(qm)
+        return
     assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(values)
     assert traced_peak(quasi_triangle_constant, qm) < 10 * n * n + 256 * m
 
@@ -759,18 +798,33 @@ def assert_metrization_matches_public_checks(kernel, seq):
     assert metrization_reports(kernel, seq) == expected
 
 
-@seed(12)
-@given(st.integers(2, 10).flatmap(metrizable_kernels), st.sampled_from(("swept", "floored", "truncated")))
-@example(newtonian_kernel(2, 1.0, 2.0), "swept")
-@settings(max_examples=300, deadline=None)
-def test_verify_metrization_matches_public_checks_property(kernel, source):
+def sourced_sequence(kernel, source):
     """The swept sequence, with lambda(0) moved to the kernel minimum, or without it (pairs in no level set)."""
     seq = compute_lambda_sequence(kernel)
     if source == "floored" and kernel.values.min() < seq.values[0]:
         seq = LambdaSequence(values=np.append(kernel.values.min(), seq.values[1:]), iterations=0)
     elif source == "truncated" and seq.k > 0:
         seq = LambdaSequence(values=seq.values[1:], iterations=0)
+    return seq
+
+
+@seed(12)
+@given(st.integers(2, 10).flatmap(metrizable_kernels), st.sampled_from(("swept", "floored", "truncated")))
+@example(newtonian_kernel(2, 1.0, 2.0), "swept")
+@settings(max_examples=300, deadline=None)
+def test_verify_metrization_matches_public_checks_property(kernel, source):
+    assert_metrization_matches_public_checks(kernel, sourced_sequence(kernel, source))
+
+
+@seed(12)
+@given(st.integers(2, 12).flatmap(metrizable_kernels), st.sampled_from(("swept", "floored", "truncated")))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_small_tiles_verify_metrization_matches_oracles_property(small_tiles, kernel, source):
+    """In tiles 1 to 5 wide verify_metrization still matches the public checks, and its constant the triple loop."""
+    seq = sourced_sequence(kernel, source)
     assert_metrization_matches_public_checks(kernel, seq)
+    if kernel.n >= 3:
+        assert verify_metrization(kernel, seq)[2] == brute_quasi_triangle_constant(delta_matrix(kernel, seq).values)
 
 
 # As for the chain metric: sizes 8/9 and 16/17, with and without lambda(0) at the kernel minimum,
