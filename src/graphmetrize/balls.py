@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 from .kernels import AffinityMatrix
-from .metrize import LambdaSequence, _inverse_indices
+from .metrize import LambdaSequence, _delta_block
 
 PALETTE = ("yellow", "green", "turquoise", "lavender", "purple")
 
@@ -50,15 +50,12 @@ def delta_ball(
 ) -> BallResult:
     """Open ball {v : delta(center, v) < r} of the script quasi-metric, for any r in (0, 1].
 
-    The center's row of delta is 2 ** -index of its affinities, with
-    delta(center, center) = 0, exactly as delta_matrix computes it.
+    The center's row of delta_matrix is formed alone.
     """
     center = _check_center(center, kernel.n)
     if not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
-    row = np.ldexp(1.0, -_inverse_indices(seq.values, kernel.values[center]))
-    row[center] = 0.0
-    return distance_ball(row, center, r)
+    return distance_ball(_delta_block(kernel, seq, slice(center, center + 1))[0], center, r)
 
 
 def distance_ball(distances, center: int, r: float) -> BallResult:

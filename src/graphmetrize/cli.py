@@ -8,7 +8,9 @@ Data goes to files, diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -150,43 +152,74 @@ def _sequence_for(args: argparse.Namespace, kernel):
     return compute_lambda_sequence(kernel)
 
 
-def _distance_row(metric: str, args: argparse.Namespace, kernel, radii):
-    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path); the center, radii and --t are checked before eigh."""
-    center = _check_center(args.center, kernel.n)
+def _distance_row(metric: str, args: argparse.Namespace, held: list, radii):
+    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path); the center, radii and --t are checked before eigh.
+
+    held is a one-item list with the kernel.  D empties it as it forms the
+    generator, so a caller that keeps no other reference frees the kernel
+    before eigh.
+    """
+    n = held[0].n
+    center = _check_center(args.center, n)
     _checked_radii(radii)
     if metric == "E":
-        return euclidean_distances(kernel.n, center)
+        return euclidean_distances(n, center)
     t = _checked_time(args.t)
-    return _diffusion_distance_row(spectral_decomposition(kernel), t, center)
+    return _diffusion_distance_row(spectral_decomposition(held.pop()), t, center)
+
+
+@contextlib.contextmanager
+def _staged(*paths):
+    """Yield a temporary sibling of each output path (None for None) to write in its place.
+
+    Once the block has written them all, each replaces its path; if the
+    block raises, they are removed, so a failing command leaves no
+    partial output.
+    """
+    temps = [None if path is None else path.parent / f".{path.name}.{os.getpid()}.{i}.tmp" for i, path in enumerate(paths)]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            if path is not None:
+                os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if temp is not None:
+                temp.unlink(missing_ok=True)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     kernel = newtonian_kernel(args.n, args.alpha, args.diag)
-    save_affinity(kernel, args.output)
+    with _staged(args.output) as (output,):
+        save_affinity(kernel, output)
     _info(f"wrote {kernel.n}x{kernel.n} kernel to {args.output}")
     return EXIT_OK
 
 
 def cmd_lambda(args: argparse.Namespace, kernel) -> int:
     seq = compute_lambda_sequence(kernel, args.diagonal_band, args.lambda0)
-    args.output.write_text(lambda_to_json(seq))
+    with _staged(args.output) as (output,):
+        output.write_text(lambda_to_json(seq))
     _info(f"{seq.k + 1} thresholds in {seq.iterations} rounds -> {args.output}")
     return EXIT_OK
 
 
 def cmd_delta(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
-    write_matrix_csv(_delta_rows(kernel, seq), args.output)
+    with _staged(args.output) as (output,):
+        write_matrix_csv(_delta_rows(kernel, seq), output)
     _info(f"quasi-metric for n={kernel.n} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_chain(args: argparse.Namespace, kernel) -> int:
     seq = _sequence_for(args, kernel)
-    write_matrix_csv(_chain_rows(kernel, seq), args.output)
+    with _staged(args.output, args.weights_output) as (output, weights_output):
+        write_matrix_csv(_chain_rows(kernel, seq), output)
+        if weights_output is not None:
+            write_matrix_csv(_delta_rows(kernel, seq), weights_output)
     _info(f"chain metric for n={kernel.n} -> {args.output}")
     if args.weights_output is not None:
-        write_matrix_csv(_delta_rows(kernel, seq), args.weights_output)
         _info(f"one-step weights -> {args.weights_output}")
     return EXIT_OK
 
@@ -194,11 +227,13 @@ def cmd_chain(args: argparse.Namespace, kernel) -> int:
 def cmd_diffusion(args: argparse.Namespace) -> int:
     t = _checked_time(args.t)
     decomp = spectral_decomposition(load_affinity(args.input))  # the kernel's only reference (CPython >= 3.11): dropped before eigh
-    write_matrix_csv(diffusion_distance_matrix(decomp, t), args.output)  # the distances are freed on return
+    with _staged(args.output, args.eig_output) as (output, eig_output):
+        write_matrix_csv(diffusion_distance_matrix(decomp, t), output)  # the distances are freed on return
+        if eig_output is not None:
+            with open(eig_output, "w") as handle:
+                handle.writelines(_decomposition_lines(decomp))
     _info(f"diffusion distances at t={args.t} -> {args.output}")
     if args.eig_output is not None:
-        with open(args.eig_output, "w") as handle:
-            handle.writelines(_decomposition_lines(decomp))
         _info(f"eigendecomposition -> {args.eig_output}")
     return EXIT_OK
 
@@ -214,11 +249,16 @@ def cmd_balls(args: argparse.Namespace, kernel) -> int:
             raise InvalidParameterError(f"metric {args.metric} needs --radii")
         if args.lambda_path is not None:
             raise InvalidParameterError(f"metric {args.metric} reads no thresholds; drop --lambda")
-        bands = annuli(_distance_row(args.metric, args, kernel, args.radii), args.radii, args.center)
-    args.output.write_text(bands_to_json(bands))
+        held = [kernel]
+        if args.dot is None:
+            del kernel  # freed before eigh; --dot draws its edges from it
+        bands = annuli(_distance_row(args.metric, args, held, args.radii), args.radii, args.center)
+    with _staged(args.output, args.dot) as (output, dot):
+        output.write_text(bands_to_json(bands))
+        if dot is not None:
+            with open(dot, "w") as handle:
+                handle.writelines(_dot_lines(kernel, bands))
     if args.dot is not None:
-        with open(args.dot, "w") as handle:
-            handle.writelines(_dot_lines(kernel, bands))
         _info(f"DOT coloring -> {args.dot}")
     sizes = [sum(1 for b in bands.band_of if b == band) for band in range(len(bands.radii) + 1)]
     _info(f"metric {args.metric} bands around {bands.center}: sizes {sizes} -> {args.output}")
@@ -254,7 +294,8 @@ def cmd_verify(args: argparse.Namespace, kernel) -> int:
     payload["checks"] = checks
     payload["passed"] = passed
     if args.output is not None:
-        args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with _staged(args.output) as (output,):
+            output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -272,9 +313,11 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
         balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
     elif args.lambda_path is not None:
         raise InvalidParameterError("only --radius-f reads thresholds; drop --lambda")
+    held = [kernel]
+    del kernel  # freed before D's eigh
     for metric, radius in (("E", args.radius_e), ("D", args.radius_d)):  # D's eigendecomposition last
         if radius is not None:
-            balls[metric] = distance_ball(_distance_row(metric, args, kernel, (radius,)), args.center, radius)
+            balls[metric] = distance_ball(_distance_row(metric, args, held, (radius,)), args.center, radius)
     if len(balls) < 2:
         raise InvalidParameterError("compare needs radii for at least two of F, D, E")
     overlaps = {}
@@ -288,7 +331,8 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
         "members": {name: sorted(ball.members) for name, ball in balls.items()},
         "radii": {name: balls[name].radius for name in names},
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _staged(args.output) as (output,):
+        output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for pair, value in overlaps.items():
         _info(f"jaccard {pair} = {value:.4f}")
     return EXIT_OK

@@ -23,6 +23,17 @@ from .errors import (
     SymmetryError,
 )
 
+# The block setting of every blocked pass over an n x n array, read at call time: the indicator products
+# take strips and column tiles this wide (one tile while n is at most twice it), and _row_blocks about
+# its square entries a block.
+_BLOCK = 128
+
+
+def _row_blocks(n: int) -> list:
+    """Row slices of an n x n array, about _BLOCK ** 2 entries each."""
+    step = max(1, _BLOCK**2 // n)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class AffinityMatrix:

@@ -30,7 +30,8 @@ from .errors import (
     MatrixFormatError,
     NonMetrizableError,
 )
-from .kernels import AffinityMatrix, _freeze, validate_kernel
+from . import kernels
+from .kernels import AffinityMatrix, _freeze, _row_blocks, validate_kernel
 
 # Equivalence band for d against delta: delta / 8 <= d <= 2 * delta.
 EQUIVALENCE_LOWER = 0.125
@@ -146,14 +147,9 @@ def compute_lambda_sequence(
     return LambdaSequence(values=_freeze(descending[::-1]), iterations=iterations)
 
 
-# Strips of the indicator products are this many rows, and tiles this many columns, or one tile
-# spans the matrix while n is at most twice that: the right operand is then generated once.
-_TILE = 128
-
-
 def _tile_width(n: int) -> int:
-    """The column tile width for an n x n product."""
-    return n if n <= 2 * _TILE else _TILE
+    """The column tile width for an n x n product: while one tile spans the matrix, the right operand is generated once."""
+    return n if n <= 2 * kernels._BLOCK else kernels._BLOCK
 
 
 class _Indicator:
@@ -186,10 +182,8 @@ class _Indicator:
             return self._envelope
         n = self.source.shape[0]
         first, last = np.empty(n, np.intp), np.empty(n, np.intp)
-        per = max(1, 32768 // n)
-        for start in range(0, n, per):
-            hit = self.test(self.source[start:start + per], self.cut)
-            rows = slice(start, start + len(hit))
+        for rows in _row_blocks(n):
+            hit = self.test(self.source[rows], self.cut)
             first[rows] = hit.argmax(axis=1)
             last[rows] = n - hit[:, ::-1].argmax(axis=1)
             empty = ~hit[np.arange(len(hit)), first[rows]]
@@ -225,7 +219,7 @@ class _Products:
     """
 
     def __init__(self, n: int, square: bool = False):
-        self.n, self.rows, self.width = n, min(n, _TILE), _tile_width(n)
+        self.n, self.rows, self.width = n, min(n, kernels._BLOCK), _tile_width(n)
         self.strip = np.empty(self.rows * n, np.float32)
         self.square = np.empty((self.rows, n), np.float32) if square else None  # the sweep's strip of the square
         self.tile = np.empty(n * self.width, np.float32)
@@ -323,12 +317,6 @@ def _band_min(kernel: AffinityMatrix, half: int) -> float:
 def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[np.ndarray]:
     """The nested level sets U(0) .. U(k) at the sequence thresholds, as read-only bool matrices."""
     return [_freeze(kernel.values >= t, bool) for t in seq.values]
-
-
-def _row_blocks(n: int, entries: int = 8192) -> list:
-    """Row slices of an n x n array, about entries each."""
-    step = max(1, entries // n)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _inverse_indices(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -476,7 +464,7 @@ def _sandwich(kernel: AffinityMatrix, seq: LambdaSequence, ball) -> SandwichRepo
     indices = tuple(range(1, k + 1))
     left_pass = [True] * k
     smallest = [k + 1] * k
-    for rows in _row_blocks(kernel.n, 65536):  # one block up to n = 256: a pass per level, as over the whole matrix
+    for rows in _row_blocks(kernel.n):
         level = _inverse_indices(seq.values, kernel.values[rows])
         for i, idx in enumerate(indices):
             mask = ball(rows, idx)
@@ -540,7 +528,7 @@ def _offdiagonal_values(values: np.ndarray) -> np.ndarray:
     """Sorted distinct off-diagonal entries of a symmetric square array, read above the diagonal."""
     n = values.shape[0]
     parts = []
-    for rows in _row_blocks(n, 16384):
+    for rows in _row_blocks(n):
         above = np.greater(np.arange(rows.start, n), np.arange(rows.start, rows.stop)[:, None])
         parts.append(_distinct(values[rows, rows.start:][above]))
     return _distinct(np.concatenate(parts))

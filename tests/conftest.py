@@ -23,7 +23,7 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 from hypothesis import strategies as st
 
-from graphmetrize import affinity_matrix, chain_metric, compute_lambda_sequence, delta_matrix, metrize
+from graphmetrize import affinity_matrix, chain_metric, compute_lambda_sequence, delta_matrix, kernels
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 100
@@ -61,13 +61,16 @@ def corpus_pipeline(corpus):
 
 @pytest.fixture(params=range(1, 6))
 def small_tiles(request, monkeypatch):
-    """Strips and column tiles of the indicator products request.param wide, instead of 128.
+    """The block setting request.param instead of 128: product strips and column tiles that wide, and row blocks of max(1, param**2 // n) rows.
 
-    metrize reads _TILE at call time, so at n <= 25 several tiles form,
-    most of them ragged, and the envelopes skip some.  A Hypothesis
-    property that takes this fixture keeps one width for all its examples.
+    Every blocked pass reads kernels._BLOCK at call time, so at n <= 25
+    several tiles form, most of them ragged, the envelopes skip some, and
+    the row passes (the delta and d streams, the sandwich, the
+    equivalence, the distinct values, the envelope and the diffusion
+    distances) take several blocks.  A Hypothesis property that takes this
+    fixture keeps one setting for all its examples.
     """
-    monkeypatch.setattr(metrize, "_TILE", request.param)
+    monkeypatch.setattr(kernels, "_BLOCK", request.param)
     return request.param
 
 

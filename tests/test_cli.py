@@ -9,6 +9,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import graphmetrize.cli as cli
+import graphmetrize.metrize as metrize
 from graphmetrize import (
     LambdaSequence,
     NumericError,
@@ -510,6 +511,44 @@ def test_delta_memory_is_the_kernel_load(tmp_path):
     assert run("lambda", "-i", kernel, "-o", lam) == 0
     peak = traced_peak(run, "delta", "-i", kernel, "--lambda", lam, "-o", tmp_path / "d.csv")
     assert peak < 10 * n * n
+
+
+@pytest.mark.parametrize("argv", (("balls", "--metric", "D", "--radii", "0.5,1"), ("compare", "--radius-d", "0.5", "--radius-e", "3")))
+def test_diffusion_rows_free_the_kernel_before_eigh(tmp_path, argv):
+    """At n = 600 the generator and eigh's eigenvectors, then the eigenvectors and the scaled coordinates, peak at 16 n**2: the 8 n**2 kernel is gone by then."""
+    n = 600
+    kernel = tmp_path / "k.csv"
+    assert run("gen", "--n", n, "-o", kernel) == 0
+    peak = traced_peak(run, *argv, "-i", kernel, "--center", 0, "-o", tmp_path / "out.json")
+    assert json.loads((tmp_path / "out.json").read_text())["center"] == 0
+    assert peak < 20 * n * n
+
+
+@pytest.mark.parametrize("outputs", (("-o", "d.csv"), ("-o", "d.csv", "--weights-output", "w.csv")))
+def test_a_failing_command_leaves_no_partial_output(tmp_path, monkeypatch, outputs):
+    """delta writes n = 200 in several row blocks, and chain --weights-output writes d first; a MemoryError after the first block of delta leaves neither output nor a temporary sibling."""
+    kernel = tmp_path / "k.csv"
+    assert run("gen", "--n", 200, "-o", kernel) == 0
+    delta_block, calls = metrize._delta_block, []
+
+    def refuse_after_the_first(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise MemoryError("refused")
+        return delta_block(*args)
+
+    monkeypatch.setattr(metrize, "_delta_block", refuse_after_the_first)
+    command = "delta" if len(outputs) == 2 else "chain"
+    assert run(command, "-i", kernel, *(tmp_path / a if a.endswith(".csv") else a for a in outputs)) == 2
+    assert len(calls) == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["k.csv"]
+
+
+def test_an_output_onto_a_directory_exits_two_and_leaves_no_sibling(k60_csv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for output in (tmp_path, "."):
+        assert run("lambda", "-i", k60_csv, "-o", output) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_checks_nesting_only_for_a_lambda_file(k60_csv, tmp_path, monkeypatch):
