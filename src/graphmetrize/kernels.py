@@ -23,9 +23,9 @@ from .errors import (
     SymmetryError,
 )
 
-# The block setting of every blocked pass over an n x n array, read at call time: the indicator products
-# take strips and column tiles this wide (one tile while n is at most twice it), and _row_blocks about
-# its square entries a block.
+# The block setting of every blocked pass over an n x n array, read at call time so that tests can shrink
+# it: the indicator products take strips and column tiles this wide (one tile while n is at most twice
+# it), and the row passes take row blocks of about its square entries.
 _BLOCK = 128
 
 

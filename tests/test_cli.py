@@ -524,8 +524,8 @@ def test_diffusion_rows_free_the_kernel_before_eigh(tmp_path, argv):
     assert peak < 20 * n * n
 
 
-@pytest.mark.parametrize("outputs", (("-o", "d.csv"), ("-o", "d.csv", "--weights-output", "w.csv")))
-def test_a_failing_command_leaves_no_partial_output(tmp_path, monkeypatch, outputs):
+@pytest.mark.parametrize("command", ("delta", "chain"))
+def test_a_failing_command_leaves_no_partial_output(tmp_path, monkeypatch, command):
     """delta writes n = 200 in several row blocks, and chain --weights-output writes d first; a MemoryError after the first block of delta leaves neither output nor a temporary sibling."""
     kernel = tmp_path / "k.csv"
     assert run("gen", "--n", 200, "-o", kernel) == 0
@@ -538,8 +538,8 @@ def test_a_failing_command_leaves_no_partial_output(tmp_path, monkeypatch, outpu
         return delta_block(*args)
 
     monkeypatch.setattr(metrize, "_delta_block", refuse_after_the_first)
-    command = "delta" if len(outputs) == 2 else "chain"
-    assert run(command, "-i", kernel, *(tmp_path / a if a.endswith(".csv") else a for a in outputs)) == 2
+    weights = ("--weights-output", tmp_path / "w.csv") if command == "chain" else ()
+    assert run(command, "-i", kernel, "-o", tmp_path / "d.csv", *weights) == 2
     assert len(calls) == 2
     assert sorted(path.name for path in tmp_path.iterdir()) == ["k.csv"]
 

@@ -897,7 +897,7 @@ def test_reversal_permutes_delta_and_d_alike(kernel, band):
 # the sequence swept from K, or every entry of K (where nesting can fail), serves both kernels.
 @seed(16)
 @given(st.integers(2, 12).flatmap(metrizable_kernels), st.booleans(), st.data())
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_small_tiles_permutation_permutes_delta_and_d_alike_property(small_tiles, kernel, every_entry, data):
     order = np.array(data.draw(st.permutations(range(kernel.n))))
     permuted = affinity_matrix(kernel.values[np.ix_(order, order)])
