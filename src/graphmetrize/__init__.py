@@ -21,8 +21,6 @@ from .balls import (
 )
 from .diffusion import (
     SpectralDecomposition,
-    decomposition_from_json,
-    decomposition_to_json,
     diffusion_distance_matrix,
     eig_symmetric,
     graph_laplacian,
@@ -98,8 +96,6 @@ __all__ = [
     "bands_to_json",
     "chain_metric",
     "compute_lambda_sequence",
-    "decomposition_from_json",
-    "decomposition_to_json",
     "delta_ball",
     "delta_matrix",
     "diffusion_distance_matrix",

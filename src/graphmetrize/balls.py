@@ -52,10 +52,15 @@ def delta_ball(
 
     The center's row of delta_matrix is formed alone.
     """
-    center = _check_center(center, kernel.n)
-    if not 0.0 < r <= 1.0:
-        raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
+    center, r = _check_center(center, kernel.n), _checked_delta_radius(r)
     return distance_ball(_delta_block(kernel, seq, slice(center, center + 1))[0], center, r)
+
+
+def _checked_delta_radius(r: float) -> float:
+    """r; InvalidParameterError unless it lies in (0, 1], where delta's values lie."""
+    if not 0.0 < r <= 1.0:  # a NaN fails
+        raise InvalidParameterError(f"radius must lie in (0, 1], got {r!r}")
+    return r
 
 
 def distance_ball(distances, center: int, r: float) -> BallResult:
@@ -130,21 +135,20 @@ def bands_to_dot(kernel: AffinityMatrix, bands: AnnulusBands) -> str:
     Edges are emitted for every positive off-diagonal affinity, so dense
     kernels give dense graphs; the point of the export is the coloring.
     """
-    return "".join(_dot_lines(kernel, bands))
+    return "".join(_dot_lines(np.triu(kernel.values > 0, 1), bands))
 
 
-def _dot_lines(kernel: AffinityMatrix, bands: AnnulusBands):
-    """Yield the text of bands_to_dot in pieces ending in a newline: one per node, one per row's edges."""
-    if kernel.n != len(bands.band_of):
-        raise InvalidParameterError(
-            f"sizes differ: kernel {kernel.n}, bands {len(bands.band_of)}"
-        )
+def _dot_lines(edges: np.ndarray, bands: AnnulusBands):
+    """Yield the text of bands_to_dot in pieces ending in a newline, one per node and one per row of edges, np.triu(kernel.values > 0, 1)."""
+    n = len(edges)
+    if n != len(bands.band_of):
+        raise InvalidParameterError(f"sizes differ: kernel {n}, bands {len(bands.band_of)}")
     yield "graph affinity {\n  node [style=filled];\n"
-    for v in range(kernel.n):
+    for v in range(n):
         yield f"  {v} [fillcolor={bands.palette[bands.band_of[v]]}];\n"
     # One string per row: index lists or strings for all n**2 / 2 edges would outweigh the text.
-    names = [str(v) for v in range(kernel.n)]
-    for i, row in enumerate(np.triu(kernel.values > 0, 1)):
+    names = [str(v) for v in range(n)]
+    for i, row in enumerate(edges):
         targets = np.flatnonzero(row).tolist()
         if targets:
             yield f"  {i} -- " + f";\n  {i} -- ".join(map(names.__getitem__, targets)) + ";\n"

@@ -15,8 +15,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .balls import (
     _check_center,
+    _checked_delta_radius,
     _checked_radii,
     _dot_lines,
     affinity_bands,
@@ -51,6 +54,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+DIFFUSION_TIME = 0.005  # --t where a diffusion distance is computed and --t is not given
 
 
 def _info(message: str) -> None:
@@ -103,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffusion", help="diffusion distance matrix")
     add_kernel_input(p)
-    p.add_argument("--t", type=float, default=0.005, help="diffusion time")
+    p.add_argument("--t", type=float, help=f"diffusion time (default {DIFFUSION_TIME})")
     p.add_argument("--eig-output", type=Path, help="also write the eigendecomposition JSON")
     p.add_argument("-o", "--output", required=True, type=Path, help="distance CSV output")
 
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--center", required=True, type=int)
     p.add_argument("--radii", type=_parse_radii, default=(), help="ascending radii for metrics D and E")
-    p.add_argument("--t", type=float, default=0.005, help="diffusion time for metric D")
+    p.add_argument("--t", type=float, help=f"diffusion time, for metric D only (default {DIFFUSION_TIME})")
     p.add_argument("--dot", type=Path, help="DOT output path")
     p.add_argument("-o", "--output", required=True, type=Path, help="bands JSON output")
 
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius-f", type=float, help="quasi-metric ball radius")
     p.add_argument("--radius-d", type=float, help="diffusion ball radius")
     p.add_argument("--radius-e", type=float, help="euclidean ball radius; E is |i - j| on the path 0..n-1 whatever the kernel")
-    p.add_argument("--t", type=float, default=0.005, help="diffusion time")
+    p.add_argument("--t", type=float, help=f"diffusion time, with --radius-d only (default {DIFFUSION_TIME})")
     p.add_argument("-o", "--output", required=True, type=Path)
     return parser
 
@@ -152,20 +156,43 @@ def _sequence_for(args: argparse.Namespace, kernel):
     return compute_lambda_sequence(kernel)
 
 
-def _distance_row(metric: str, args: argparse.Namespace, held: list, radii):
-    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path); the center, radii and --t are checked before eigh.
+def _check_options(args: argparse.Namespace) -> None:
+    """Make every check that needs no kernel, so that a bad option exits 2 before the load.
+
+    --t is read only where a diffusion distance is computed, which sets its default; --lambda only where thresholds are.
+    """
+    if args.command == "compare":
+        radii = {m: r for m, r in zip("FDE", (args.radius_f, args.radius_d, args.radius_e)) if r is not None}
+        if len(radii) < 2:
+            raise InvalidParameterError("compare needs radii for at least two of F, D, E")
+        for metric, radius in radii.items():
+            _checked_delta_radius(radius) if metric == "F" else _checked_radii((radius,))
+        metrics = "".join(radii)
+    elif args.command == "balls":
+        if (args.metric == "F") == bool(args.radii):  # F takes no --radii; D and E need them
+            raise InvalidParameterError("metric F derives its bands from the thresholds; drop --radii" if args.radii else f"metric {args.metric} needs --radii")
+        if args.radii:
+            _checked_radii(args.radii)
+        metrics = args.metric
+    else:
+        metrics = "D" if args.command == "diffusion" else "F"
+    if "D" in metrics:
+        args.t = _checked_time(DIFFUSION_TIME if args.t is None else args.t)
+    elif getattr(args, "t", None) is not None:
+        raise InvalidParameterError("only a diffusion distance reads --t; drop --t")
+    if "F" not in metrics and getattr(args, "lambda_path", None) is not None:
+        raise InvalidParameterError("only metric F reads thresholds; drop --lambda")
+
+
+def _distance_row(metric: str, args: argparse.Namespace, held: list):
+    """The center's distances in metric D (diffusion at time --t) or E (|i - j| on the path).
 
     held is a one-item list with the kernel.  D empties it as it forms the
-    generator, so a caller that keeps no other reference frees the kernel
-    before eigh.
+    generator, so the kernel is freed before eigh.
     """
-    n = held[0].n
-    center = _check_center(args.center, n)
-    _checked_radii(radii)
     if metric == "E":
-        return euclidean_distances(n, center)
-    t = _checked_time(args.t)
-    return _diffusion_distance_row(spectral_decomposition(held.pop()), t, center)
+        return euclidean_distances(held[0].n, args.center)
+    return _diffusion_distance_row(spectral_decomposition(held.pop()), args.t, args.center)
 
 
 @contextlib.contextmanager
@@ -196,15 +223,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_lambda(args: argparse.Namespace, kernel) -> int:
-    seq = compute_lambda_sequence(kernel, args.diagonal_band, args.lambda0)
+def cmd_lambda(args: argparse.Namespace, held: list) -> int:
+    seq = compute_lambda_sequence(held[0], args.diagonal_band, args.lambda0)
     with _staged(args.output) as (output,):
         output.write_text(lambda_to_json(seq))
     _info(f"{seq.k + 1} thresholds in {seq.iterations} rounds -> {args.output}")
     return EXIT_OK
 
 
-def cmd_delta(args: argparse.Namespace, kernel) -> int:
+def cmd_delta(args: argparse.Namespace, held: list) -> int:
+    (kernel,) = held
     seq = _sequence_for(args, kernel)
     with _staged(args.output) as (output,):
         write_matrix_csv(_delta_rows(kernel, seq), output)
@@ -212,7 +240,8 @@ def cmd_delta(args: argparse.Namespace, kernel) -> int:
     return EXIT_OK
 
 
-def cmd_chain(args: argparse.Namespace, kernel) -> int:
+def cmd_chain(args: argparse.Namespace, held: list) -> int:
+    (kernel,) = held
     seq = _sequence_for(args, kernel)
     with _staged(args.output, args.weights_output) as (output, weights_output):
         write_matrix_csv(_chain_rows(kernel, seq), output)
@@ -224,11 +253,10 @@ def cmd_chain(args: argparse.Namespace, kernel) -> int:
     return EXIT_OK
 
 
-def cmd_diffusion(args: argparse.Namespace) -> int:
-    t = _checked_time(args.t)
-    decomp = spectral_decomposition(load_affinity(args.input))  # the kernel's only reference (CPython >= 3.11): dropped before eigh
+def cmd_diffusion(args: argparse.Namespace, held: list) -> int:
+    decomp = spectral_decomposition(held.pop())  # the kernel is freed before eigh
     with _staged(args.output, args.eig_output) as (output, eig_output):
-        write_matrix_csv(diffusion_distance_matrix(decomp, t), output)  # the distances are freed on return
+        write_matrix_csv(diffusion_distance_matrix(decomp, args.t), output)  # the distances are freed on return
         if eig_output is not None:
             with open(eig_output, "w") as handle:
                 handle.writelines(_decomposition_lines(decomp))
@@ -238,26 +266,17 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_balls(args: argparse.Namespace, kernel) -> int:
+def cmd_balls(args: argparse.Namespace, held: list) -> int:
     if args.metric == "F":
-        if args.radii:
-            raise InvalidParameterError("metric F derives its bands from the thresholds; drop --radii")
-        seq = _sequence_for(args, kernel)
-        bands = affinity_bands(kernel, seq, args.center)
-    else:
-        if not args.radii:
-            raise InvalidParameterError(f"metric {args.metric} needs --radii")
-        if args.lambda_path is not None:
-            raise InvalidParameterError(f"metric {args.metric} reads no thresholds; drop --lambda")
-        held = [kernel]
-        if args.dot is None:
-            del kernel  # freed before eigh; --dot draws its edges from it
-        bands = annuli(_distance_row(args.metric, args, held, args.radii), args.radii, args.center)
+        bands = affinity_bands(held[0], _sequence_for(args, held[0]), args.center)
+    edges = None if args.dot is None else np.triu(held[0].values > 0, 1)  # all --dot reads of the kernel: after F's sweep, before D's eigh
+    if args.metric != "F":
+        bands = annuli(_distance_row(args.metric, args, held), args.radii, args.center)
     with _staged(args.output, args.dot) as (output, dot):
         output.write_text(bands_to_json(bands))
         if dot is not None:
             with open(dot, "w") as handle:
-                handle.writelines(_dot_lines(kernel, bands))
+                handle.writelines(_dot_lines(edges, bands))
     if args.dot is not None:
         _info(f"DOT coloring -> {args.dot}")
     sizes = [sum(1 for b in bands.band_of if b == band) for band in range(len(bands.radii) + 1)]
@@ -265,7 +284,8 @@ def cmd_balls(args: argparse.Namespace, kernel) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, kernel) -> int:
+def cmd_verify(args: argparse.Namespace, held: list) -> int:
+    (kernel,) = held
     report = validate_kernel(kernel)
     flags = report.failed_flags()
     checks = {"kernel_flags": not flags}
@@ -306,20 +326,13 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
-def cmd_compare(args: argparse.Namespace, kernel) -> int:
+def cmd_compare(args: argparse.Namespace, held: list) -> int:
     balls = {}
     if args.radius_f is not None:
-        seq = _sequence_for(args, kernel)
-        balls["F"] = delta_ball(kernel, seq, args.center, args.radius_f)
-    elif args.lambda_path is not None:
-        raise InvalidParameterError("only --radius-f reads thresholds; drop --lambda")
-    held = [kernel]
-    del kernel  # freed before D's eigh
+        balls["F"] = delta_ball(held[0], _sequence_for(args, held[0]), args.center, args.radius_f)
     for metric, radius in (("E", args.radius_e), ("D", args.radius_d)):  # D's eigendecomposition last
         if radius is not None:
-            balls[metric] = distance_ball(_distance_row(metric, args, held, (radius,)), args.center, radius)
-    if len(balls) < 2:
-        raise InvalidParameterError("compare needs radii for at least two of F, D, E")
+            balls[metric] = distance_ball(_distance_row(metric, args, held), args.center, radius)
     overlaps = {}
     names = sorted(balls)
     for i, first in enumerate(names):
@@ -338,11 +351,12 @@ def cmd_compare(args: argparse.Namespace, kernel) -> int:
     return EXIT_OK
 
 
-# Every command but gen reads a kernel with -i; main loads it once for all but diffusion.
+# Every command but gen reads a kernel with -i, which main loads and hands on in a one-item list.
 COMMANDS = {
     "lambda": cmd_lambda,
     "delta": cmd_delta,
     "chain": cmd_chain,
+    "diffusion": cmd_diffusion,
     "balls": cmd_balls,
     "verify": cmd_verify,
     "compare": cmd_compare,
@@ -355,9 +369,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return cmd_gen(args)
-        if args.command == "diffusion":  # it loads its own kernel, to free it before eigh
-            return cmd_diffusion(args)
-        return COMMANDS[args.command](args, load_affinity(args.input))
+        _check_options(args)
+        held = [load_affinity(args.input)]  # its only reference (CPython >= 3.11): popped into spectral_decomposition, the kernel is freed before eigh
+        if "center" in args:
+            _check_center(args.center, held[0].n)
+        return COMMANDS[args.command](args, held)
     except NumericError as exc:
         _info(f"numeric error: {exc}")
         return EXIT_NUMERIC

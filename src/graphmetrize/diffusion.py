@@ -7,14 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVertexError,
-    DomainError,
-    InvalidParameterError,
-    MatrixFormatError,
-    NumericError,
-)
-from .kernels import AffinityMatrix, _freeze, _row_blocks
+from .errors import DegenerateVertexError, DomainError, InvalidParameterError, NumericError
+from .kernels import AffinityMatrix, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,9 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
     Coordinates are the eigenvector rows scaled by exp(t * eigenvalue);
     the distance is plain Euclidean between scaled rows, so it shrinks
-    monotonically as t grows whenever the spectrum is nonpositive.
+    monotonically as t grows.  As t -> infinity it tends to |v(x) - v(y)|
+    for the null eigenvector v, or to 0 where round-off leaves the null
+    eigenvalue below 0.
 
     Squared distances come from the Gram identity
     |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, clamped at zero, formed a row block
@@ -100,8 +96,12 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
 
 def _coordinates(decomp: SpectralDecomposition, t: float) -> np.ndarray:
-    """The eigenvector rows scaled by exp(t * eigenvalue)."""
-    return decomp.eigenvectors * np.exp(_checked_time(t) * decomp.eigenvalues)[None, :]
+    """The eigenvector rows scaled by exp(t * eigenvalue), each of norm at most 1.
+
+    The spectrum is clamped at 0: it lies in [-2, 0], so a positive
+    eigenvalue is round-off, whose exp would overflow at large t.
+    """
+    return decomp.eigenvectors * np.exp(_checked_time(t) * np.minimum(decomp.eigenvalues, 0.0))[None, :]
 
 
 def _checked_time(t: float) -> float:
@@ -119,10 +119,6 @@ def _diffusion_distance_row(decomp: SpectralDecomposition, t: float, center: int
     np.sqrt(np.maximum(row, 0.0, out=row), out=row)
     row[center] = 0.0
     return row
-
-
-def decomposition_to_json(decomp: SpectralDecomposition) -> str:
-    return "".join(_decomposition_lines(decomp))
 
 
 def _decomposition_lines(decomp: SpectralDecomposition):
@@ -143,17 +139,3 @@ def _indented_list(values: np.ndarray, margin: str) -> str:
         return "[]"
     inner = "\n" + margin + "  "
     return "[" + inner + json.dumps(values.tolist())[1:-1].replace(", ", "," + inner) + "\n" + margin + "]"
-
-
-def decomposition_from_json(text: str) -> SpectralDecomposition:
-    """Read decomposition_to_json output; other keys, such as the "convention" older files carry, are ignored."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"invalid decomposition JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "eigenvalues" not in payload or "eigenvectors" not in payload:
-        raise MatrixFormatError("decomposition JSON needs 'eigenvalues' and 'eigenvectors'")
-    return SpectralDecomposition(
-        eigenvalues=_freeze(np.array(payload["eigenvalues"], dtype=np.float64)),
-        eigenvectors=_freeze(np.array(payload["eigenvectors"], dtype=np.float64)),
-    )

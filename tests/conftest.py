@@ -201,14 +201,14 @@ def exact_chain_metric(kernel, seq):
 
 def tensor_diffusion_distances(decomp, t):
     """Diffusion distances from the n x n x n tensor of row differences; only for small n."""
-    coords = decomp.eigenvectors * np.exp(t * decomp.eigenvalues)[None, :]
+    coords = decomp.eigenvectors * np.exp(t * np.minimum(decomp.eigenvalues, 0.0))[None, :]
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))
 
 
 def reference_diffusion_distance_matrix(decomp, t):
     """diffusion_distance_matrix with separate temporaries and an explicit symmetrizing pass: the judge of its in-place form."""
-    coords = decomp.eigenvectors * np.exp(float(t) * decomp.eigenvalues)[None, :]
+    coords = decomp.eigenvectors * np.exp(float(t) * np.minimum(decomp.eigenvalues, 0.0))[None, :]
     gram = coords @ coords.T
     norms = np.diagonal(gram)
     squared = norms[:, None] + norms[None, :] - 2.0 * gram

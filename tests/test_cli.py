@@ -13,15 +13,14 @@ import graphmetrize.metrize as metrize
 from graphmetrize import (
     LambdaSequence,
     NumericError,
+    SpectralDecomposition,
     compute_lambda_sequence,
-    decomposition_from_json,
     diffusion_distance_matrix,
     graph_laplacian,
     lambda_to_json,
     load_affinity,
     newtonian_kernel,
     read_matrix_csv,
-    spectral_decomposition,
     write_matrix_csv,
 )
 from graphmetrize.cli import jaccard, main
@@ -332,7 +331,7 @@ def test_diffusion_eig_output(k60_csv, tmp_path):
     payload = json.loads(eig.read_text())
     assert len(payload["eigenvalues"]) == 60
     assert max(payload["eigenvalues"]) <= 1e-10
-    decomp = decomposition_from_json(eig.read_text())
+    decomp = SpectralDecomposition(np.array(payload["eigenvalues"]), np.array(payload["eigenvectors"]))
     rebuilt = decomp.eigenvectors @ np.diag(decomp.eigenvalues) @ decomp.eigenvectors.T
     assert np.abs(rebuilt - graph_laplacian(load_affinity(k60_csv))).max() <= 1e-8
     oracle = tensor_diffusion_distances(decomp, 0.005)
@@ -513,9 +512,17 @@ def test_delta_memory_is_the_kernel_load(tmp_path):
     assert peak < 10 * n * n
 
 
-@pytest.mark.parametrize("argv", (("balls", "--metric", "D", "--radii", "0.5,1"), ("compare", "--radius-d", "0.5", "--radius-e", "3")))
-def test_diffusion_rows_free_the_kernel_before_eigh(tmp_path, argv):
-    """At n = 600 the generator and eigh's eigenvectors, then the eigenvectors and the scaled coordinates, peak at 16 n**2: the 8 n**2 kernel is gone by then."""
+@pytest.mark.parametrize("argv", (
+    ("balls", "--metric", "D", "--radii", "0.5,1"),
+    ("compare", "--radius-d", "0.5", "--radius-e", "3"),
+    ("balls", "--metric", "D", "--radii", "0.5,1", "--dot", "out.dot"),
+))
+def test_diffusion_rows_free_the_kernel_before_eigh(tmp_path, monkeypatch, argv):
+    """At n = 600 the generator and eigh's eigenvectors, then the eigenvectors and the scaled coordinates, peak at 16 n**2: the 8 n**2 kernel is gone by then.
+
+    --dot keeps only the kernel's one-byte edge pattern.
+    """
+    monkeypatch.chdir(tmp_path)
     n = 600
     kernel = tmp_path / "k.csv"
     assert run("gen", "--n", n, "-o", kernel) == 0
@@ -694,6 +701,28 @@ def test_diffusion_ball_outputs_match_the_distance_matrix_row(k60_csv, tmp_path,
     assert outputs[0] == outputs[1]
 
 
+def test_huge_diffusion_time_gives_the_limit_distances(tmp_path):
+    """At t = 1e20 and t = 1e300 only the null eigenvector survives: every distance is finite, at most 2, and the same at both times.
+
+    LAPACK returns this kernel's top eigenvalue as round-off above 0, whose
+    exp overflowed before the spectrum was clamped.
+    """
+    kernel = tmp_path / "k.csv"
+    assert run("gen", "--n", 30, "--alpha", 1, "-o", kernel) == 0
+    outputs = []
+    for t in ("1e20", "1e300"):
+        dt, balls, compare = (tmp_path / f"{name}{t}" for name in ("dt", "b", "c"))
+        assert run("diffusion", "-i", kernel, "--t", t, "-o", dt) == 0
+        assert run("balls", "-i", kernel, "--metric", "D", "--radii", "1,1.4", "--center", 3, "--t", t, "-o", balls) == 0
+        assert run("compare", "-i", kernel, "--radius-d", 0.5, "--radius-e", 4, "--center", 3, "--t", t, "-o", compare) == 0
+        distances = read_matrix_csv(dt)
+        assert np.isfinite(distances).all() and distances.max() <= 2.0
+        assert json.loads(balls.read_text())["band_of"].count(0) == 30
+        assert len(json.loads(compare.read_text())["members"]["D"]) == 30
+        outputs.append([path.read_bytes() for path in (dt, balls, compare)])
+    assert outputs[0] == outputs[1]
+
+
 def test_compare_needs_two_metrics(k60_csv, tmp_path):
     assert run("compare", "-i", k60_csv, "--center", 25,
                "--radius-f", 0.125, "-o", tmp_path / "c.json") == 2
@@ -755,13 +784,27 @@ def test_out_of_range_center_exits_two(k60_csv, tmp_path):
     ("compare", "--center", 25, "--radius-d", "nan", "--radius-e", 4),
     ("compare", "--center", 25, "--radius-d", 1.0, "--radius-e", "nan"),
     ("compare", "--center", 25, "--t", "nan", "--radius-d", 1.0, "--radius-e", 4),
+    ("compare", "--center", 25, "--radius-d", 0.5),
+    ("compare", "--center", 25, "--radius-f", 0.25),
+    ("compare", "--center", 25, "--radius-f", 2, "--radius-e", 4),
+    ("compare", "--center", 60, "--radius-f", 0.25, "--radius-e", 4),
+    ("balls", "--center", 60),
+    ("balls", "--metric", "D", "--center", 25, "--t", 0, "--radii", "0.5,1.4"),
+    ("balls", "--metric", "E", "--center", 25, "--radii", "3,1"),
+    ("balls", "--metric", "D", "--center", 25, "--radii", "0.5,1.4", "--lambda", "l.json"),
+    ("compare", "--center", 25, "--radius-d", 1.0, "--radius-e", 4, "--lambda", "l.json"),
+    ("balls", "--center", 25, "--t", "0.005"),
+    ("balls", "--metric", "E", "--center", 25, "--radii", "1,3", "--t", "nan"),
+    ("compare", "--center", 25, "--radius-f", 0.125, "--radius-e", 4, "--t", "0.005"),
 ])
 def test_bad_parameters_exit_before_the_eigendecomposition(k60_csv, tmp_path, monkeypatch, command):
+    """Every option is checked before the kernel is loaded, and the center (60 is out of range) before the sweep or eigh."""
     calls = []
-    monkeypatch.setattr(cli, "spectral_decomposition", lambda kernel: calls.append(kernel) or spectral_decomposition(kernel))
+    for name in ("load_affinity", "compute_lambda_sequence", "spectral_decomposition"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, spied=getattr(cli, name): calls.append(name) or spied(*args))
     out = tmp_path / "out"
     assert run(command[0], "-i", k60_csv, *command[1:], "-o", out) == 2
-    assert calls == [] and not out.exists()
+    assert calls == (["load_affinity"] if 60 in command else []) and not out.exists()
 
 
 BAD_TIME = st.sampled_from(("nan", "inf")) | st.floats(max_value=0.0).map(repr)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from graphmetrize import (
     DegenerateVertexError,
@@ -11,8 +13,6 @@ from graphmetrize import (
     NumericError,
     SpectralDecomposition,
     affinity_matrix,
-    decomposition_from_json,
-    decomposition_to_json,
     diffusion_distance_matrix,
     eig_symmetric,
     graph_laplacian,
@@ -21,9 +21,9 @@ from graphmetrize import (
     write_matrix_csv,
 )
 from graphmetrize.cli import main
-from graphmetrize.diffusion import _diffusion_distance_row
+from graphmetrize.diffusion import _decomposition_lines, _diffusion_distance_row
 
-from conftest import random_kernel, reference_diffusion_distance_matrix, tensor_diffusion_distances, traced_peak
+from conftest import metrizable_kernels, random_kernel, reference_diffusion_distance_matrix, tensor_diffusion_distances, traced_peak
 
 
 def test_laplacian_all_ones_kernel():
@@ -155,7 +155,7 @@ def test_diffusion_matches_reference_bitwise(corpus):
 
 def row_loop_diffusion_distance_matrix(decomp, t):
     """diffusion_distance_matrix with the distances formed one row of the Gram buffer at a time, as before they were blocked."""
-    coords = decomp.eigenvectors * np.exp(float(t) * decomp.eigenvalues)[None, :]
+    coords = decomp.eigenvectors * np.exp(float(t) * np.minimum(decomp.eigenvalues, 0.0))[None, :]
     out = coords @ coords.T
     norms = np.diagonal(out).copy()
     for norm, row in zip(norms, out):
@@ -196,6 +196,23 @@ def test_distance_row_matches_the_matrix_row(corpus, t):
             row = _diffusion_distance_row(decomp, t, center)
             assert row[center] == 0.0
             assert np.abs(row - matrix[center]).max() <= 1e-12
+
+
+@seed(24)
+@example(newtonian_kernel(30, 1.0), 1e20)
+@example(newtonian_kernel(2, 1.0), 1e300)
+@given(st.integers(2, 30).flatmap(metrizable_kernels), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e))
+@settings(max_examples=150, deadline=None)
+def test_diffusion_distances_stay_in_zero_two_at_any_time(kernel, t):
+    """For t log-uniform in [1e-3, 1e300] every distance is finite and in [0, 2]: the scaled rows have norm at most 1.
+
+    The examples' kernels have a top eigenvalue of round-off above 0,
+    which overflowed exp before the spectrum was clamped.
+    """
+    decomp = spectral_decomposition(kernel)
+    for distances in (diffusion_distance_matrix(decomp, t), _diffusion_distance_row(decomp, t, kernel.n // 2)):
+        assert np.isfinite(distances).all()
+        assert distances.min() >= 0.0 and distances.max() <= 2.0
 
 
 def test_diffusion_distance_memory_is_quadratic():
@@ -249,15 +266,10 @@ def test_spectral_null_vector_is_sqrt_degrees():
 def test_decomposition_json_round_trip():
     kernel = newtonian_kernel(5, 1.0, 2.0)
     decomp = spectral_decomposition(kernel)
-    back = decomposition_from_json(decomposition_to_json(decomp))
-    assert np.array_equal(back.eigenvalues, decomp.eigenvalues)
-    assert np.array_equal(back.eigenvectors, decomp.eigenvectors)
-    payload = json.loads(decomposition_to_json(decomp))
-    assert "convention" not in payload
-    # eig.json files written before the tag was dropped carry it; they still read.
-    old = decomposition_from_json(json.dumps({**payload, "convention": "symmetric_normalized"}))
-    assert np.array_equal(old.eigenvalues, decomp.eigenvalues)
-    assert np.array_equal(old.eigenvectors, decomp.eigenvectors)
+    payload = json.loads("".join(_decomposition_lines(decomp)))
+    assert sorted(payload) == ["eigenvalues", "eigenvectors"]
+    assert np.array_equal(payload["eigenvalues"], decomp.eigenvalues)
+    assert np.array_equal(payload["eigenvectors"], decomp.eigenvectors)
 
 
 def reference_decomposition_json(decomp):
@@ -273,7 +285,7 @@ def test_decomposition_json_matches_json_dumps(corpus):
     odd = np.array([[1e-300, -0.0, np.inf], [np.nan, 5e-324, -1.5e300], [1.0, 2.0, 3.0]])
     cases.append(SpectralDecomposition(eigenvalues=np.array([np.nan, -np.inf, -0.0]), eigenvectors=odd))
     for decomp in cases:
-        assert decomposition_to_json(decomp) == reference_decomposition_json(decomp)
+        assert "".join(_decomposition_lines(decomp)) == reference_decomposition_json(decomp)
 
 
 def test_diffusion_eig_output_memory_streams_the_text(tmp_path):
