@@ -42,6 +42,7 @@ from .metrize import (
     QUASI_TRIANGLE_LIMIT,
     _band_min,
     _chain_rows,
+    _chain_scale,
     _delta_rows,
     compute_lambda_sequence,
     lambda_from_json,
@@ -142,25 +143,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sequence_for(args: argparse.Namespace, kernel):
-    if args.lambda_path is not None:
-        seq = lambda_from_json(args.lambda_path.read_text())
-        # Harvested thresholds are kernel entries; only the seed may be a free lambda --lambda0.
-        if not all((kernel.values == t).any() for t in seq.values[:-1]):
-            raise InvalidParameterError(f"{args.lambda_path}: thresholds are not entries of this kernel")
-        band_min = _band_min(kernel, 1)
-        if seq.values[-1] > band_min:
-            raise InvalidParameterError(
-                f"{args.lambda_path}: top threshold {seq.values[-1]!r} exceeds the band minimum {band_min!r}"
-            )
-        return seq
-    return compute_lambda_sequence(kernel)
+    """The --lambda sequence that _check_options parsed, checked against the kernel, or else the default sweep."""
+    if args.lambda_path is None:
+        return compute_lambda_sequence(kernel)
+    seq = args.sequence
+    # Harvested thresholds are kernel entries; only the seed may be a free lambda --lambda0.
+    if not all((kernel.values == t).any() for t in seq.values[:-1]):
+        raise InvalidParameterError(f"{args.lambda_path}: thresholds are not entries of this kernel")
+    band_min = _band_min(kernel, 1)
+    if seq.values[-1] > band_min:
+        raise InvalidParameterError(f"{args.lambda_path}: top threshold {seq.values[-1]!r} exceeds the band minimum {band_min!r}")
+    return seq
 
 
 def _check_options(args: argparse.Namespace) -> None:
     """Make every check that needs no kernel, so that a bad option exits 2 before the load.
 
-    --t is read only where a diffusion distance is computed, which sets its default; --lambda only where thresholds are.
+    --t is read only where a diffusion distance is computed, which sets its default; --lambda only where thresholds are,
+    and its file is parsed here into args.sequence.  No two outputs may name one file (_staged replaces a link, not its target).
     """
+    outputs = [Path(os.path.realpath(p.parent), p.name) for p in map(vars(args).get, ("output", "weights_output", "eig_output", "dot")) if p]
+    if len(set(outputs)) < len(outputs):
+        raise InvalidParameterError("two outputs name the same file")
     if args.command == "compare":
         radii = {m: r for m, r in zip("FDE", (args.radius_f, args.radius_d, args.radius_e)) if r is not None}
         if len(radii) < 2:
@@ -180,8 +184,12 @@ def _check_options(args: argparse.Namespace) -> None:
         args.t = _checked_time(DIFFUSION_TIME if args.t is None else args.t)
     elif getattr(args, "t", None) is not None:
         raise InvalidParameterError("only a diffusion distance reads --t; drop --t")
-    if "F" not in metrics and getattr(args, "lambda_path", None) is not None:
-        raise InvalidParameterError("only metric F reads thresholds; drop --lambda")
+    if getattr(args, "lambda_path", None) is not None:
+        if "F" not in metrics:
+            raise InvalidParameterError("only metric F reads thresholds; drop --lambda")
+        args.sequence = lambda_from_json(args.lambda_path.read_bytes())
+        if args.command in ("chain", "verify"):
+            _chain_scale(args.sequence)
 
 
 def _distance_row(metric: str, args: argparse.Namespace, held: list):

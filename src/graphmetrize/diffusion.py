@@ -71,8 +71,8 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
     Coordinates are the eigenvector rows scaled by exp(t * eigenvalue);
     the distance is plain Euclidean between scaled rows, so it shrinks
     monotonically as t grows.  As t -> infinity it tends to |v(x) - v(y)|
-    for the null eigenvector v, or to 0 where round-off leaves the null
-    eigenvalue below 0.
+    for the null eigenvector v, the last column, whose eigenvalue is read
+    as exactly 0.
 
     Squared distances come from the Gram identity
     |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, clamped at zero, formed a row block
@@ -98,10 +98,13 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 def _coordinates(decomp: SpectralDecomposition, t: float) -> np.ndarray:
     """The eigenvector rows scaled by exp(t * eigenvalue), each of norm at most 1.
 
-    The spectrum is clamped at 0: it lies in [-2, 0], so a positive
-    eigenvalue is round-off, whose exp would overflow at large t.
+    The spectrum lies in [-2, 0], so a positive eigenvalue is round-off,
+    whose exp would overflow at large t: it is clamped at 0.  The top one
+    is exactly 0 for a kernel with positive degrees (D^-1 K is
+    row-stochastic), and is set so whatever the sign of LAPACK's round-off.
     """
-    return decomp.eigenvectors * np.exp(_checked_time(t) * np.minimum(decomp.eigenvalues, 0.0))[None, :]
+    spectrum = np.append(np.minimum(decomp.eigenvalues[:-1], 0.0), 0.0)
+    return decomp.eigenvectors * np.exp(_checked_time(t) * spectrum)[None, :]
 
 
 def _checked_time(t: float) -> float:

@@ -85,12 +85,6 @@ class ValidationReport:
         return [name for name, held in asdict(self).items() if not held]
 
 
-def _freeze(values: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 def affinity_matrix(values) -> AffinityMatrix:
     """Wrap a float64 copy of a raw square array as an AffinityMatrix."""
     return AffinityMatrix(np.array(values, dtype=np.float64))

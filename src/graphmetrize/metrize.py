@@ -31,7 +31,7 @@ from .errors import (
     NonMetrizableError,
 )
 from . import kernels
-from .kernels import AffinityMatrix, _freeze, _row_blocks, validate_kernel
+from .kernels import AffinityMatrix, _row_blocks, validate_kernel
 
 # Equivalence band for d against delta: delta / 8 <= d <= 2 * delta.
 EQUIVALENCE_LOWER = 0.125
@@ -42,10 +42,12 @@ QUASI_TRIANGLE_LIMIT = 8.0
 
 @dataclass(frozen=True)
 class LambdaSequence:
-    """Strictly ascending thresholds lambda(0) .. lambda(k).
+    """Finite, nonnegative, strictly ascending float64 thresholds lambda(0) .. lambda(k), with read-only values.
 
-    values[-1] is the seed the sweep started from (the top threshold)
-    and iterations counts the cube-and-rethreshold rounds performed.
+    values[-1] is the seed the sweep started from (the top threshold) and
+    iterations counts the cube-and-rethreshold rounds performed.  Every
+    instance is checked when it is built (MatrixFormatError), and values
+    is then frozen in place, so pass an array that nothing else writes to.
     """
 
     values: np.ndarray
@@ -54,6 +56,16 @@ class LambdaSequence:
     @property
     def k(self) -> int:
         return int(self.values.size) - 1
+
+    def __post_init__(self):
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1 and v.size):
+            raise MatrixFormatError("threshold values must be a non-empty 1-D float64 array")
+        if not (0 <= v[0] and v[-1] < np.inf and (v[1:] > v[:-1]).all()):  # a NaN fails
+            raise MatrixFormatError("threshold values must be finite, nonnegative and strictly ascending")
+        if type(self.iterations) is not int or self.iterations < 0:  # a bool is no count
+            raise MatrixFormatError(f"iterations must be a nonnegative int, got {self.iterations!r}")
+        v.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,7 @@ def compute_lambda_sequence(
         if next_value <= kernel_min:
             break
 
-    return LambdaSequence(values=_freeze(descending[::-1]), iterations=iterations)
+    return LambdaSequence(values=np.array(descending[::-1]), iterations=iterations)
 
 
 def _tile_width(n: int) -> int:
@@ -316,7 +328,9 @@ def _band_min(kernel: AffinityMatrix, half: int) -> float:
 
 def level_relations(kernel: AffinityMatrix, seq: LambdaSequence) -> list[np.ndarray]:
     """The nested level sets U(0) .. U(k) at the sequence thresholds, as read-only bool matrices."""
-    return [_freeze(kernel.values >= t, bool) for t in seq.values]
+    levels = np.less_equal.outer(seq.values, kernel.values)  # t <= K, that is K >= t
+    levels.setflags(write=False)
+    return list(levels)
 
 
 def _inverse_indices(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -616,22 +630,11 @@ def lambda_to_json(seq: LambdaSequence) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def lambda_from_json(text: str) -> LambdaSequence:
+def lambda_from_json(text: str | bytes) -> LambdaSequence:
+    """Parse lambda_to_json's text; LambdaSequence judges the values, and every failure is MatrixFormatError."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"invalid threshold JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "values" not in payload:
-        raise MatrixFormatError("threshold JSON must be an object with 'values'")
-    try:
         values = np.array(payload["values"], dtype=np.float64)
-        iterations = int(payload.get("iterations", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFormatError(f"threshold JSON values and iterations must be numbers: {exc}") from exc
-    if values.ndim != 1 or values.size == 0:
-        raise MatrixFormatError("threshold values must be a non-empty flat list")
-    if not (np.diff(values) > 0).all():
-        raise MatrixFormatError("threshold values must be strictly ascending")
-    if values[0] < 0:
-        raise MatrixFormatError("threshold values must be nonnegative")
-    return LambdaSequence(values=_freeze(values), iterations=iterations)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:  # no JSON or no Unicode; no object; no numbers
+        raise MatrixFormatError(f"threshold JSON must be an object whose 'values' are numbers: {exc!r}") from exc
+    return LambdaSequence(values=values, iterations=payload.get("iterations", 0))

@@ -199,16 +199,23 @@ def exact_chain_metric(kernel, seq):
     return np.array([[d / scale for d in row] for row in dist])
 
 
+def reference_coordinates(decomp, t):
+    """Eigenvector rows scaled by exp(t * eigenvalue), the spectrum clamped at 0 and its top (the null eigenvalue) read as 0."""
+    spectrum = np.minimum(decomp.eigenvalues, 0.0)
+    spectrum[-1] = 0.0
+    return decomp.eigenvectors * np.exp(float(t) * spectrum)[None, :]
+
+
 def tensor_diffusion_distances(decomp, t):
     """Diffusion distances from the n x n x n tensor of row differences; only for small n."""
-    coords = decomp.eigenvectors * np.exp(t * np.minimum(decomp.eigenvalues, 0.0))[None, :]
+    coords = reference_coordinates(decomp, t)
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))
 
 
 def reference_diffusion_distance_matrix(decomp, t):
     """diffusion_distance_matrix with separate temporaries and an explicit symmetrizing pass: the judge of its in-place form."""
-    coords = decomp.eigenvectors * np.exp(float(t) * np.minimum(decomp.eigenvalues, 0.0))[None, :]
+    coords = reference_coordinates(decomp, t)
     gram = coords @ coords.T
     norms = np.diagonal(gram)
     squared = norms[:, None] + norms[None, :] - 2.0 * gram

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from graphmetrize import (
     load_affinity,
     newtonian_kernel,
     read_matrix_csv,
+    spectral_decomposition,
     write_matrix_csv,
 )
 from graphmetrize.cli import jaccard, main
@@ -300,7 +303,7 @@ def test_lambda_from_other_kernel_exits_two(k60_csv, tmp_path):
     assert run("delta", "-i", kernel, "--lambda", seeded, "-o", tmp_path / "d.csv") == 0
 
 
-def test_chain_over_sixty_levels_exits_two(tmp_path):
+def test_chain_over_sixty_levels_exits_two(tmp_path, monkeypatch):
     # 66 distinct entries off the tridiagonal give a --lambda file of up to k = 66 levels.
     n = 13
     rows, cols = np.triu_indices(n, 2)
@@ -315,10 +318,14 @@ def test_chain_over_sixty_levels_exits_two(tmp_path):
     entries = sorted(values[rows, cols].tolist())
     lam = tmp_path / "l.json"
     lam.write_text(json.dumps({"values": entries + [1.0], "iterations": 1}))
-    # k > 60 is refused before any output is opened: no empty CSV or report is left behind.
+    # k > 60 is refused before the load: no empty CSV or report is left behind, and verify checks no nesting.
+    calls = []
+    for name in ("load_affinity", "level_nesting"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, spied=getattr(cli, name): calls.append(name) or spied(*args))
     out, weights, report = tmp_path / "d.csv", tmp_path / "w.csv", tmp_path / "v.json"
     assert run("chain", "-i", kernel, "--lambda", lam, "-o", out, "--weights-output", weights) == 2
     assert run("verify", "-i", kernel, "--lambda", lam, "-o", report) == 2
+    assert calls == []
     assert not out.exists() and not weights.exists() and not report.exists()
     lam.write_text(json.dumps({"values": entries[6:] + [1.0], "iterations": 1}))
     assert run("chain", "-i", kernel, "--lambda", lam, "-o", out) == 0
@@ -702,25 +709,29 @@ def test_diffusion_ball_outputs_match_the_distance_matrix_row(k60_csv, tmp_path,
 
 
 def test_huge_diffusion_time_gives_the_limit_distances(tmp_path):
-    """At t = 1e20 and t = 1e300 only the null eigenvector survives: every distance is finite, at most 2, and the same at both times.
+    """At t = 1e20 and t = 1e300 only the null eigenvector v survives: every distance is |v(x) - v(y)|, the same at both times.
 
-    LAPACK returns this kernel's top eigenvalue as round-off above 0, whose
-    exp overflowed before the spectrum was clamped.
+    LAPACK returns the top eigenvalue as round-off: above 0 at n = 30,
+    whose exp overflowed before the spectrum was clamped, and below 0 at
+    n = 10 and 60, where every distance read 0 before it was set to 0.
     """
-    kernel = tmp_path / "k.csv"
-    assert run("gen", "--n", 30, "--alpha", 1, "-o", kernel) == 0
-    outputs = []
-    for t in ("1e20", "1e300"):
-        dt, balls, compare = (tmp_path / f"{name}{t}" for name in ("dt", "b", "c"))
-        assert run("diffusion", "-i", kernel, "--t", t, "-o", dt) == 0
-        assert run("balls", "-i", kernel, "--metric", "D", "--radii", "1,1.4", "--center", 3, "--t", t, "-o", balls) == 0
-        assert run("compare", "-i", kernel, "--radius-d", 0.5, "--radius-e", 4, "--center", 3, "--t", t, "-o", compare) == 0
-        distances = read_matrix_csv(dt)
-        assert np.isfinite(distances).all() and distances.max() <= 2.0
-        assert json.loads(balls.read_text())["band_of"].count(0) == 30
-        assert len(json.loads(compare.read_text())["members"]["D"]) == 30
-        outputs.append([path.read_bytes() for path in (dt, balls, compare)])
-    assert outputs[0] == outputs[1]
+    for n, limit in ((10, 0.042559), (30, 0.031376), (60, 0.024226)):
+        kernel = tmp_path / f"k{n}.csv"
+        assert run("gen", "--n", n, "--alpha", 1, "-o", kernel) == 0
+        v = spectral_decomposition(newtonian_kernel(n, 1.0)).eigenvectors[:, -1]
+        outputs = []
+        for t in ("1e20", "1e300"):
+            dt, balls, compare = (tmp_path / f"{name}{n}-{t}" for name in ("dt", "b", "c"))
+            assert run("diffusion", "-i", kernel, "--t", t, "-o", dt) == 0
+            assert run("balls", "-i", kernel, "--metric", "D", "--radii", "1,1.4", "--center", 3, "--t", t, "-o", balls) == 0
+            assert run("compare", "-i", kernel, "--radius-d", 0.5, "--radius-e", 4, "--center", 3, "--t", t, "-o", compare) == 0
+            distances = read_matrix_csv(dt)
+            assert np.abs(distances - np.abs(np.subtract.outer(v, v))).max() <= 1e-8  # the Gram identity's round-off near 0
+            assert distances.max() == pytest.approx(limit, abs=1e-6)
+            assert json.loads(balls.read_text())["band_of"].count(0) == n
+            assert len(json.loads(compare.read_text())["members"]["D"]) == n
+            outputs.append([path.read_bytes() for path in (dt, balls, compare)])
+        assert outputs[0] == outputs[1]
 
 
 def test_compare_needs_two_metrics(k60_csv, tmp_path):
@@ -746,12 +757,40 @@ def test_malformed_csv_exits_two(tmp_path):
         assert run("lambda", "-i", bad, "-o", tmp_path / "l.json") == 2
 
 
-def test_malformed_lambda_file_exits_two(k60_csv, tmp_path):
-    lam = tmp_path / "l.json"
-    for payload in ({"values": ["x", 1.0]}, {"values": [[0.1], [0.2, 1.0]]},
-                    {"values": [0.1, 1.0], "iterations": "many"}):
-        lam.write_text(json.dumps(payload))
-        assert run("delta", "-i", k60_csv, "--lambda", lam, "-o", tmp_path / "d.csv") == 2
+def test_malformed_lambda_file_exits_two(k60_csv, tmp_path, monkeypatch):
+    """A --lambda file that holds no threshold sequence is refused before the load; a NaN one passed verify with exit 0."""
+    calls = []
+    monkeypatch.setattr(cli, "load_affinity", lambda path, spied=cli.load_affinity: calls.append(path) or spied(path))
+    lam, out = tmp_path / "l.json", tmp_path / "out"
+    texts = [json.dumps(payload) for payload in (
+        {"values": ["x", 1.0]}, {"values": [[0.1], [0.2, 1.0]]}, {"values": [0.1, 1.0], "iterations": "many"},
+        {"values": [float("nan")]}, {"values": [0.1, float("inf")]}, {"values": [0.1, 1.0], "iterations": True},
+    )]
+    for text in [*texts, b"{\x80}"]:  # the last is no UTF-8, which raised UnicodeDecodeError (exit 1)
+        lam.write_bytes(text if isinstance(text, bytes) else text.encode())
+        for command in (("delta",), ("verify",), ("balls", "--center", 3)):
+            assert run(*command, "-i", k60_csv, "--lambda", lam, "-o", out) == 2, (command, text)
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", (
+    ("chain", "--weights-output", "{same}"),
+    ("chain", "--weights-output", "{other}"),
+    ("diffusion", "--eig-output", "{same}"),
+    ("balls", "--center", 3, "--dot", "{same}"),
+    ("balls", "--center", 3, "--dot", "{other}"),
+))
+def test_two_outputs_naming_one_file_exit_two_and_write_nothing(k60_csv, tmp_path, monkeypatch, command):
+    """chain -o X --weights-output X exited 0 with X holding delta: the second output replaced the first."""
+    calls = []
+    monkeypatch.setattr(cli, "load_affinity", lambda path, spied=cli.load_affinity: calls.append(path) or spied(path))
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    spellings = {"same": out, "other": Path("sub", "..", "out")}  # the same file through another directory
+    argv = [str(arg).format(**spellings) for arg in command]
+    assert run(*argv, "-i", k60_csv, "-o", out) == 2
+    assert calls == [] and sorted(path.name for path in tmp_path.iterdir()) == ["sub"]
 
 
 def test_malformed_kernel_json_exits_two(tmp_path):
@@ -813,14 +852,15 @@ BAD_RADIUS = st.just("nan") | st.floats(max_value=0.0).map(repr)
 
 @st.composite
 def bad_arguments(draw):
-    """A metrizable kernel of n <= 12 vertices, argv of one subcommand with one bad value, and the thresholds for --lambda.
+    """A metrizable kernel of n <= 12 vertices, argv of one subcommand with one bad value, the --lambda file's text, and whether it is malformed.
 
     The bad values: a NaN, infinite or nonpositive --t or --lambda0; a NaN
     or nonpositive radius, or a --radius-f outside (0, 1] (other radii may
     be infinite); a center outside 0 .. n - 1; a --lambda file of k > 60
-    (at n <= 12 not all its thresholds can be kernel entries) or with a
-    threshold below the top one that is no kernel entry.  "{lam}" and
-    "{extra}" stand for the --lambda file and a second output path.
+    (at n <= 12 not all its thresholds can be kernel entries), with a
+    threshold below the top one that is no kernel entry, or malformed
+    (malformed_lambda).  "{lam}" and "{extra}" stand for the --lambda
+    file and a second output path.
     """
     n = draw(st.integers(2, 12))
     kernel = draw(metrizable_kernels(n))
@@ -829,6 +869,8 @@ def bad_arguments(draw):
     foreign = draw(st.floats(0.0, values[-1], exclude_max=True).filter(lambda x: x not in entries))
     deep = np.linspace(0.0, values[-1], draw(st.integers(62, 70))).tolist()
     thresholds = draw(st.sampled_from((deep, sorted(set(values[:-1]) | {foreign}) + values[-1:])))
+    malformed = draw(st.booleans())
+    text = draw(malformed_lambda(values)) if malformed else json.dumps({"values": thresholds, "iterations": 0})
     time, radius = draw(BAD_TIME), draw(BAD_RADIUS)
     radius_f = draw(BAD_RADIUS | st.floats(min_value=1.0, exclude_min=True).map(repr))
     good = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3, unique=True)))
@@ -853,23 +895,49 @@ def bad_arguments(draw):
         ["compare", center, f"--radius-{metric.lower()}={radius}", "--radius-f=0.5"],
         ["compare", center, f"--t={time}", "--radius-d=1.0", "--radius-e=1.0"],
     ]))
-    return kernel, argv, thresholds
+    return kernel, argv, text, malformed and "--lambda={lam}" in argv
+
+
+@st.composite
+def malformed_lambda(draw, values):
+    """The text of a threshold JSON that no LambdaSequence accepts, from a valid list of values.
+
+    One value made NaN, infinite or negative; a repeated value, in
+    ascending or descending order; no values; or an iterations count
+    that is a bool, a float or negative.
+    """
+    values, iterations = list(values), 0
+    flaw = draw(st.sampled_from(("value", "order", "empty", "iterations")))
+    if flaw == "value":
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from((math.nan, math.inf, -math.inf)) | st.floats(max_value=-math.ulp(0.0))
+        )
+    elif flaw == "order":
+        values = sorted([*values, draw(st.sampled_from(values))], reverse=draw(st.booleans()))
+    elif flaw == "empty":
+        values = []
+    else:
+        iterations = draw(st.booleans() | st.floats() | st.integers(max_value=-1))
+    return json.dumps({"values": values, "iterations": iterations})
 
 
 @seed(11)
 @given(bad_arguments())
-@example((newtonian_kernel(4, 1.0, 2.0), ["balls", "--metric=E", "--center=0", "--radii=-1.0,2.0"], [1.0]))
+@example((newtonian_kernel(4, 1.0, 2.0), ["balls", "--metric=E", "--center=0", "--radii=-1.0,2.0"], '{"values": [1.0]}', False))
+@example((newtonian_kernel(4, 1.0, 2.0), ["verify", "--lambda={lam}"], '{"values": [NaN]}', True))
 @settings(max_examples=200, deadline=None)
 def test_bad_arguments_exit_two_or_three_and_write_nothing(case):
-    """Every subcommand refuses a bad value with exit 2 or 3 and leaves none of its output paths behind."""
-    kernel, argv, thresholds = case
+    """Every subcommand refuses a bad value with exit 2 or 3 and leaves none of its output paths behind; a malformed --lambda file before the load."""
+    kernel, argv, text, malformed = case
     with tempfile.TemporaryDirectory() as directory:
         directory = Path(directory)
         paths = {"lam": directory / "l.json", "extra": directory / "extra", "out": directory / "out"}
         write_matrix_csv(kernel.values, directory / "k.csv")
-        paths["lam"].write_text(json.dumps({"values": thresholds, "iterations": 0}))
+        paths["lam"].write_text(text)
         argv = [arg.format(**paths) for arg in argv] + ["-i", str(directory / "k.csv"), "-o", str(paths["out"])]
-        assert main(argv) in (2, 3)
+        with mock.patch.object(cli, "load_affinity", wraps=cli.load_affinity) as load:
+            assert main(argv) in (2, 3)
+        assert not (malformed and load.called)
         assert not paths["out"].exists() and not paths["extra"].exists()
 
 

@@ -23,7 +23,14 @@ from graphmetrize import (
 from graphmetrize.cli import main
 from graphmetrize.diffusion import _decomposition_lines, _diffusion_distance_row
 
-from conftest import metrizable_kernels, random_kernel, reference_diffusion_distance_matrix, tensor_diffusion_distances, traced_peak
+from conftest import (
+    metrizable_kernels,
+    random_kernel,
+    reference_coordinates,
+    reference_diffusion_distance_matrix,
+    tensor_diffusion_distances,
+    traced_peak,
+)
 
 
 def test_laplacian_all_ones_kernel():
@@ -155,7 +162,7 @@ def test_diffusion_matches_reference_bitwise(corpus):
 
 def row_loop_diffusion_distance_matrix(decomp, t):
     """diffusion_distance_matrix with the distances formed one row of the Gram buffer at a time, as before they were blocked."""
-    coords = decomp.eigenvectors * np.exp(float(t) * np.minimum(decomp.eigenvalues, 0.0))[None, :]
+    coords = reference_coordinates(decomp, t)
     out = coords @ coords.T
     norms = np.diagonal(out).copy()
     for norm, row in zip(norms, out):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from functools import partial
 
 import numpy as np
@@ -490,9 +491,10 @@ def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
     for kernel, seq, _, pm in corpus_pipeline:
         # Dropping the bottom threshold leaves pairs in no level set, so small balls
         # of a shrunken metric reach them and no level set holds the ball.
-        top = LambdaSequence(values=seq.values[1:], iterations=seq.iterations)
+        # A one-value sequence has no bottom to drop.
+        sequences = (seq, LambdaSequence(values=seq.values[1:], iterations=seq.iterations)) if seq.k else (seq,)
         shrunk = PseudoMetricMatrix(n=pm.n, values=pm.values * 0.125)
-        for s, metric in ((seq, pm), (seq, shrunk), (top, pm), (top, shrunk)):
+        for s, metric in itertools.product(sequences, (pm, shrunk)):
             report = verify_sandwich(kernel, s, metric)
             expected = reference_sandwich(kernel, s, metric)
             assert dataclasses.asdict(report) == expected
@@ -930,6 +932,27 @@ def test_lambda_json_rejects_malformed():
     for text in ('{"values": ["x", 1.0]}', '{"values": [[0.1], [0.2, 1.0]]}',
                  '{"values": {"a": 1.0}}', '{"values": [0.1, 1.0], "iterations": "many"}',
                  '{"values": [0.1, 1.0], "iterations": [2]}',
-                 '{"values": [0.1, 1.0], "iterations": Infinity}'):
+                 '{"values": [0.1, 1.0], "iterations": Infinity}',
+                 '{"values": [NaN]}', '{"values": [0.1, Infinity]}',
+                 '{"values": [0.1, 1.0], "iterations": true}', '{"values": [0.1, 1.0], "iterations": 1.7}',
+                 '{"values": [0.1, 1.0], "iterations": -1}', b'{"values": [\xff]}'):
         with pytest.raises(MatrixFormatError):
             lambda_from_json(text)
+
+
+def test_lambda_sequence_constructor_checks_and_freezes_its_array():
+    """Every LambdaSequence is checked when it is built: an empty or NaN one passed verify_metrization."""
+    arr = np.array([0.25, 0.5, 1.0])
+    seq = LambdaSequence(values=arr, iterations=2)
+    assert seq.values is arr and not arr.flags.writeable and seq.k == 2
+    with pytest.raises(ValueError):
+        seq.values[0] = 0.0
+    bad_values = ([0.25, 1.0], np.array([1, 2]), np.array([0.25, 1.0], np.float32), np.array([]), np.array([[0.25, 1.0]]),
+                  np.array([np.nan]), np.array([0.25, np.nan, 1.0]), np.array([0.25, np.inf]), np.array([-np.inf, 1.0]),
+                  np.array([-0.5, 1.0]), np.array([1.0, 0.5]), np.array([0.5, 0.5]))
+    for values in bad_values:
+        with pytest.raises(MatrixFormatError):
+            LambdaSequence(values=values, iterations=0)
+    for iterations in (True, 1.7, 2.0, -1, None):
+        with pytest.raises(MatrixFormatError):
+            LambdaSequence(values=np.array([0.5, 1.0]), iterations=iterations)

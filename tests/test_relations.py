@@ -31,6 +31,7 @@ def test_level_set_tridiagonal_at_one():
     k = newtonian_kernel(4, 1.0, 2.0)
     levels = level_relations(k, compute_lambda_sequence(k))
     assert np.array_equal(levels[-1], tridiagonal_bits(4))
+    assert not any(level.flags.writeable for level in levels)
 
 
 @seed(1)
