@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVertexError, DomainError, InvalidParameterError, NumericError
-from .kernels import AffinityMatrix, _row_blocks
+from .kernels import AffinityMatrix, _row_blocks, _symmetric
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,14 @@ def graph_laplacian(kernel: AffinityMatrix) -> np.ndarray:
 def eig_symmetric(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a real symmetric matrix by LAPACK's eigh: eigenvalues ascending, eigenvector columns orthonormal.
 
-    Asymmetry beyond 1e-12 is DomainError, since eigh reads one triangle
-    and the check vouches for the other; a LAPACK failure is NumericError.
+    A non-finite entry or asymmetry beyond 1e-12 is DomainError, since eigh reads
+    one triangle and the check vouches for the other; a LAPACK failure is NumericError.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
-    asymmetry = np.subtract(a, a.T)
-    if float(np.abs(asymmetry, out=asymmetry).max(initial=0.0)) > 1e-12:
-        raise DomainError("matrix is not symmetric within 1e-12")
-    del asymmetry
+    if not (-np.inf < a.min(initial=0.0) <= a.max(initial=0.0) < np.inf and _symmetric(a, 1e-12)):  # a NaN fails
+        raise DomainError("matrix must be finite and symmetric within 1e-12")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -76,12 +74,12 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
 
     Squared distances come from the Gram identity
     |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, clamped at zero, formed a row block
-    at a time in the Gram matrix's own buffer.  Its error in d^2 is round-off in
-    |a|^2, so the error relative to d grows as d -> 0: on
-    newtonian_kernel(60) at t = 100, where some true distances are 1e-12,
-    it measured 2.6e-9 absolute.  The output is exactly symmetric because
-    numpy computes coords @ coords.T by BLAS syrk, which forms one
-    triangle and mirrors it.
+    at a time in the Gram matrix's own buffer; the diagonal is 2x - 2x = 0
+    exactly.  The error in d^2 is round-off in |a|^2, so relative to d it
+    grows as d -> 0: on newtonian_kernel(60) at t = 100, where some true
+    distances are 1e-12, it measured 2.6e-9 absolute.  The output is
+    exactly symmetric because numpy computes coords @ coords.T by BLAS
+    syrk, which forms one triangle and mirrors it.
     """
     coords = _coordinates(decomp, t)
     out = coords @ coords.T
@@ -91,7 +89,6 @@ def diffusion_distance_matrix(decomp: SpectralDecomposition, t: float) -> np.nda
         np.subtract(norms[rows, None] + norms, 2.0 * out[rows], out=out[rows])
     np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)
-    np.fill_diagonal(out, 0.0)
     return out
 
 

@@ -35,6 +35,18 @@ def _row_blocks(n: int) -> list:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
+def _symmetric(arr: np.ndarray, tol: float = 0.0) -> bool:
+    """Whether |arr[i, j] - arr[j, i]| <= tol throughout a square array, a NaN failing, by tiles on and above the diagonal."""
+    width = max(1, _BLOCK // 2)
+    for top, left in itertools.combinations_with_replacement(range(0, len(arr), width), 2):
+        rows, cols = slice(top, top + width), slice(left, left + width)
+        gap = arr[cols, rows].T.copy()  # numpy buffers the strided tile; subtracting the mirror itself would copy it too
+        np.subtract(arr[rows, cols], gap, out=gap)
+        if not np.abs(gap, out=gap).max() <= tol:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class AffinityMatrix:
     """Symmetric, nonnegative, finite float64 kernel on n >= 2 vertices, with read-only values.
@@ -63,8 +75,7 @@ class AffinityMatrix:
         lo, hi = arr.min(), arr.max()
         if not -np.inf < lo <= hi < np.inf:  # a NaN fails
             raise DomainError("affinities must be finite")
-        # Row i against column i from the diagonal on: a block of rows against its transpose buffers the ufunc.
-        if not all(np.array_equal(arr[i, i:], arr[i:, i]) for i in range(self.n)):
+        if not _symmetric(arr):
             i, j = map(int, np.argwhere(arr != arr.T)[0])
             raise SymmetryError(f"asymmetric entry at ({i}, {j}): {float(arr[i, j])!r} != {float(arr[j, i])!r}")
         if lo < 0:

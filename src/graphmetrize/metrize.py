@@ -532,7 +532,7 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
     vals = delta.values
-    if not (vals.min() >= 0 and vals.max() < np.inf and np.array_equal(vals, vals.T)):  # a NaN fails
+    if not (vals.min() >= 0 and vals.max() < np.inf and kernels._symmetric(vals)):  # a NaN fails
         raise DomainError("delta must be symmetric, finite and nonnegative")
     distinct = _offdiagonal_values(vals)
     return _quasi_triangle(vals, np.less_equal, distinct, distinct)
@@ -634,6 +634,8 @@ def lambda_from_json(text: str | bytes) -> LambdaSequence:
     """Parse lambda_to_json's text; LambdaSequence judges the values, and every failure is MatrixFormatError."""
     try:
         payload = json.loads(text)
+        if type(payload["values"]) is not list or {type(x) for x in payload["values"]} - {int, float}:
+            raise TypeError("values must be a list of JSON numbers; strings, bools and lists are not converted")
         values = np.array(payload["values"], dtype=np.float64)
     except (ValueError, TypeError, KeyError, OverflowError) as exc:  # no JSON or no Unicode; no object; no numbers
         raise MatrixFormatError(f"threshold JSON must be an object whose 'values' are numbers: {exc!r}") from exc

@@ -11,6 +11,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import graphmetrize.cli as cli
+import graphmetrize.kernels as kernels
 import graphmetrize.metrize as metrize
 from graphmetrize import (
     LambdaSequence,
@@ -579,18 +580,19 @@ def test_verify_checks_nesting_only_for_a_lambda_file(k60_csv, tmp_path, monkeyp
 
 
 def test_verify_compares_the_kernel_with_its_transpose_once(k60_csv, tmp_path, monkeypatch):
-    """Loading reads each entry on or above the diagonal against its mirror once; validate_kernel and the sweep trust the type."""
-    compared = []
-    array_equal = np.array_equal
+    """Loading checks the kernel's symmetry once, by kernels._symmetric; validate_kernel and the sweep trust the type."""
+    checked = []
+    symmetric = kernels._symmetric
 
-    def spy(a, b, *args, **kwargs):
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.may_share_memory(a, b):
-            compared.append(a.size)
-        return array_equal(a, b, *args, **kwargs)
+    def spy(arr, *args):
+        checked.append(arr)
+        return symmetric(arr, *args)
 
-    monkeypatch.setattr(np, "array_equal", spy)
+    monkeypatch.setattr(kernels, "_symmetric", spy)
     assert run("verify", "-i", k60_csv, "-o", tmp_path / "report.json") == 0
-    assert sum(compared) == 60 * 61 // 2
+    assert len(checked) == 1
+    assert not checked[0].flags.writeable  # the array that became the kernel
+    assert np.array_equal(checked[0], read_matrix_csv(k60_csv))
 
 
 def test_verify_fails_on_bad_kernel(tmp_path):

@@ -81,6 +81,18 @@ def test_eig_rejects_asymmetric():
         eig_symmetric(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("matrix", (
+    [[1.0, np.nan], [0.5, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -np.inf]],
+))
+def test_eig_rejects_non_finite_entries(matrix):
+    """A NaN above the diagonal passed the 1e-12 check, whose max was NaN, and eigh, reading the lower triangle, gave [0.5, 1.5]."""
+    with pytest.raises(DomainError, match="finite"):
+        eig_symmetric(np.array(matrix))
+
+
 def test_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(5)
     for _ in range(6):
@@ -150,6 +162,15 @@ def test_diffusion_symmetric_zero_diagonal_triangle():
         for mid in range(min(n, 14)):
             slack = dt - (dt[:, mid][:, None] + dt[mid, :][None, :])
             assert slack.max() <= 1e-12
+
+
+@seed(27)
+@given(st.integers(2, 40), st.integers(0, 2**16), st.sampled_from((0.005, 1.0, 100.0)))
+@settings(max_examples=60, deadline=None)
+def test_diffusion_diagonal_is_exactly_zero_by_the_gram_identity(n, rng_seed, t):
+    """|a|^2 + |a|^2 - 2 a.a is 2x - 2x on the diagonal, exact in floats: no distance of a vertex to itself is set after the fact."""
+    decomp = spectral_decomposition(random_kernel(np.random.default_rng(rng_seed), n))
+    assert (np.diagonal(diffusion_distance_matrix(decomp, t)) == 0).all()
 
 
 def test_diffusion_matches_reference_bitwise(corpus):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import graphmetrize
@@ -27,6 +27,7 @@ from graphmetrize import (
     validate_kernel,
     write_matrix_csv,
 )
+from graphmetrize.kernels import _symmetric
 
 from conftest import reference_write_matrix_csv, traced_peak
 
@@ -213,6 +214,48 @@ def test_asymmetry_is_named_at_its_first_entry_in_a_later_row():
     vals[250, 200] = 7.0
     with pytest.raises(SymmetryError, match=r"\(200, 250\): 0\.02 != 7\.0"):
         AffinityMatrix(vals)
+
+
+# Both zeros, two subnormals, and pairs whose difference is exactly a tolerance below (0.5 - 0.0, 1e-12 - 0.0).
+SYMMETRY_CELLS = (0.0, -0.0, 5e-324, 2.5e-308, 1e-12, 0.5, 1.0)
+
+
+@seed(27)
+@given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_small_tiles_symmetry_check_matches_the_whole_transpose_property(small_tiles, data):
+    """_symmetric agrees with np.array_equal(a, a.T) and with np.abs(a - a.T).max() <= tol.
+
+    n is one below, at or one past a tile boundary, or any size up to 25
+    (up to 25 tiles a side).  A symmetric array of pooled cells then has up
+    to three entries replaced anywhere: in the first or the last tile
+    column, inside a diagonal tile or elsewhere.
+    """
+    width = max(1, small_tiles // 2)
+    n = data.draw(st.sampled_from([m for m in (width - 1, width, width + 1) if m]) | st.integers(1, 25))
+    cells = st.sampled_from(SYMMETRY_CELLS)
+    a = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    a = np.where(np.tri(n, dtype=bool), a.T, a)  # mirrored bit for bit, -0.0 included
+    for _ in range(data.draw(st.integers(0, 3))):
+        a[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = data.draw(cells)
+    assert _symmetric(a) == np.array_equal(a, a.T)
+    for tol in (0.0, 1e-12, 0.5):
+        assert _symmetric(a, tol) == (np.abs(a - a.T).max() <= tol)
+    a[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = np.nan
+    assert not _symmetric(a, 1.0)
+
+
+@pytest.mark.parametrize("n", (63, 64, 65, 200))
+@pytest.mark.parametrize("where", ("first tile column", "last tile column", "diagonal tile"))
+def test_symmetry_check_finds_one_entry_off_its_mirror(n, where):
+    """At the default block (tiles 64 wide) one entry moved by the least step is found, and passes within 1e-12."""
+    vals = newtonian_kernel(n, 1.0).values.copy()
+    assert _symmetric(vals)
+    i, j = {"first tile column": (0, min(n, 64) - 1), "last tile column": (0, (n - 1) // 64 * 64 or n - 1),
+            "diagonal tile": (33, 32)}[where]
+    vals[i, j] = np.nextafter(vals[i, j], np.inf)
+    assert not _symmetric(vals) and not _symmetric(vals.T)
+    assert _symmetric(vals, 1e-12)
 
 
 def test_affinity_matrix_constructor_checks_and_freezes_its_array():

@@ -935,7 +935,9 @@ def test_lambda_json_rejects_malformed():
                  '{"values": [0.1, 1.0], "iterations": Infinity}',
                  '{"values": [NaN]}', '{"values": [0.1, Infinity]}',
                  '{"values": [0.1, 1.0], "iterations": true}', '{"values": [0.1, 1.0], "iterations": 1.7}',
-                 '{"values": [0.1, 1.0], "iterations": -1}', b'{"values": [\xff]}'):
+                 '{"values": [0.1, 1.0], "iterations": -1}', b'{"values": [\xff]}',
+                 '{"values": ["0.25", " 1e0 "]}', '{"values": [false, true]}', '{"values": [0.5, true]}',
+                 '{"values": [0.5, null]}', '{"values": "0.5"}'):
         with pytest.raises(MatrixFormatError):
             lambda_from_json(text)
 
