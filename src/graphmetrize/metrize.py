@@ -165,7 +165,7 @@ def _tile_width(n: int) -> int:
 
 
 class _Indicator:
-    """The 0/1 matrix test(source, cut) made in float32 a block at a time: {K >= t}, or {delta <= v} or {index >= c} without the diagonal.
+    """The 0/1 matrix test(source, cut) made in float32 a block at a time: {K >= t} with or without the diagonal, or {delta <= v} without it.
 
     source must be symmetric, and so the indicator is.  A plain class: a
     dataclass would cost the import milliseconds.
@@ -186,22 +186,14 @@ class _Indicator:
 
     @property
     def envelope(self) -> tuple:
-        """Per column tile, the rows [lo, hi) outside which it is zero (lo >= hi if all of it is), by argmax along the rows: row j is column j.
+        """Per column tile, the rows [lo, hi) outside which it is zero ((0, 0) if all of it is): the span of the nonzero columns of the row strip with the tile's indices, row j being column j.
 
         The diagonal is counted even where it is left out, which only widens a span.
         """
-        if self._envelope is not None:
-            return self._envelope
-        n = self.source.shape[0]
-        first, last = np.empty(n, np.intp), np.empty(n, np.intp)
-        for rows in _row_blocks(n):
-            hit = self.test(self.source[rows], self.cut)
-            first[rows] = hit.argmax(axis=1)
-            last[rows] = n - hit[:, ::-1].argmax(axis=1)
-            empty = ~hit[np.arange(len(hit)), first[rows]]
-            first[rows][empty], last[rows][empty] = n, 0
-        starts = np.arange(0, n, _tile_width(n))
-        self._envelope = np.minimum.reduceat(first, starts), np.maximum.reduceat(last, starts)
+        if self._envelope is None:
+            n, width = self.source.shape[0], _tile_width(self.source.shape[0])
+            rows = (np.flatnonzero(self.test(self.source[start:start + width], self.cut).any(axis=0)) for start in range(0, n, width))
+            self._envelope = tuple(zip(*((r[0], r[-1] + 1) if r.size else (0, 0) for r in rows)))
         return self._envelope
 
 
@@ -433,21 +425,22 @@ def _closure(index: np.ndarray, scale: int) -> np.ndarray:
 def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
     """(verify_sandwich, verify_equivalence, quasi_triangle_constant) of chain_metric and delta_matrix, neither built.
 
-    All three read the script level index and the integer closure: delta
-    is 2 ** -index off the diagonal, d < 2 ** -i is closure < 2 ** (s - i)
+    The quasi-triangle reads the level sets from the kernel: delta <=
+    2 ** -c is {index >= c}, that is {K >= lambda(c - 1)} for c = 1 ..
+    k + 1, and every pair for c = 0, a level only pairs below lambda(0)
+    reach.  The sandwich and equivalence read the script index per row
+    block and the integer closure: d < 2 ** -i is closure < 2 ** (s - i)
     for s = k + 1 (exact where d is, k <= 52), and d / delta is the exact
     closure * 2 ** (index - s).  The constant is 1.0 below 3 vertices.
     The quasi-triangle products run first, so their buffers and the
-    closure are never alive together, and the closure counts its own
-    index; the sandwich and equivalence count it per row block.
+    closure are never alive together.
     """
     scale = _chain_scale(seq)
     constant = 1.0
     if kernel.n >= 3:
-        index = _inverse_indices(seq.values, kernel.values)
-        keys = _offdiagonal_values(index)[::-1]  # descending, as delta = 2 ** -index ascends
-        constant = _quasi_triangle(index, np.greater_equal, keys, np.ldexp(1.0, -keys))
-        del index  # the closure counts its own, and frees it before its scratch
+        levels = np.arange(seq.k + 1, -1 if kernel.values.min() < seq.values[0] else 0, -1)
+        cuts = np.append(seq.values[::-1], 0.0)[: levels.size]  # lambda(c - 1), and 0.0 for c = 0
+        constant = _quasi_triangle(kernel.values, np.greater_equal, cuts, np.ldexp(1.0, -levels))
     closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
     sandwich = _sandwich(kernel, seq, lambda rows, idx: closure[rows] < 1 << (scale - idx))
     equivalence = _equivalence(
@@ -551,14 +544,15 @@ def _offdiagonal_values(values: np.ndarray) -> np.ndarray:
 def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.ndarray) -> float:
     """The constant from a matrix whose level p is {test(source, cuts[p])} off the diagonal, the pairs with delta <= v[p].
 
-    v ascends through delta's distinct off-diagonal values.  source is
-    delta itself with test <=, or the script index with test >= and cuts
-    descending, since delta = 2 ** -index.  The float32 product of the
-    0/1 indicators of levels p and q marks the pairs (x, z) that hops p
-    then q join; the deepest level among them, x != z, has delta v[M],
-    and v[M] / (v[p] + v[q]) bounds C from below; at the worst triple's
-    hops it is C, by the same float division.  Counts are exact for
-    n < 2**24.
+    v ascends through delta's off-diagonal values.  source is delta itself
+    with test <= and cuts = v its distinct values, or the kernel with test
+    >= and cuts descending thresholds (verify_metrization), where a level
+    that no off-diagonal pair reaches costs at most an empty product.  The
+    float32 product of the 0/1 indicators of levels p and q marks the
+    pairs (x, z) that hops p then q join; the deepest level among them,
+    x != z, has delta v[M], and v[M] / (v[p] + v[q]) bounds C from below;
+    at the worst triple's hops it is C, by the same float division.
+    Counts are exact for n < 2**24.
 
     For p < q the levels nest, so the deepest level M that hops (p, q)
     or (q, p) join lies between M(p, p) and M(q, q).  The diagonal
@@ -572,7 +566,6 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
     and above the diagonal.
     """
     products = _Products(source.shape[0])
-    level = {cut: p for p, cut in enumerate(cuts.tolist())}
     # The deepest of some off-diagonal entries: cuts[0] is the shallowest value any can have.
     deepest = partial((np.maximum if test is np.less_equal else np.minimum).reduce, axis=None, initial=cuts[0])
     indicators = {}  # per level, so that each envelope is found once
@@ -580,7 +573,7 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
     def joined(p: int, q: int, upper: bool) -> int:
         """The deepest level that hops p then q join, or -1 if none."""
         left, right = (indicators.setdefault(i, _Indicator(source, test, cuts[i], False)) for i in (p, q))
-        return _joined(products, left, right, upper, deepest, level)
+        return _joined(products, left, right, upper, deepest, test, cuts)
 
     worst = 0.0
     diagonal = []  # M(q, q), nondecreasing in q
@@ -607,8 +600,8 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
     return worst
 
 
-def _joined(products: _Products, left: _Indicator, right: _Indicator, upper: bool, deepest, level: dict) -> int:
-    """level[deepest(source)] over the pairs x != z that left @ right joins (with upper, on and above the diagonal); -1 if none."""
+def _joined(products: _Products, left: _Indicator, right: _Indicator, upper: bool, deepest, test: np.ufunc, cuts: np.ndarray) -> int:
+    """The first level p whose test(deepest(source), cuts[p]) holds, over the pairs x != z that left @ right joins (with upper, on and above the diagonal); -1 if none."""
     reached = []
     for rows, strip, lo in products.strips(left, shared=left is right):
         for cols, reach in products.tiles(strip, lo, right, rows.start if upper else 0):
@@ -616,7 +609,7 @@ def _joined(products: _Products, left: _Indicator, right: _Indicator, upper: boo
             hit = reach > 0
             if hit.any():
                 reached.append(deepest(left.source[rows, cols], where=hit))
-    return level[deepest(reached).item()] if reached else -1
+    return int(np.argmax(test(deepest(reached), cuts))) if reached else -1
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:

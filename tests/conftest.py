@@ -66,8 +66,8 @@ def small_tiles(request, monkeypatch):
     Every blocked pass reads kernels._BLOCK at call time, so at n <= 25
     several tiles form, most of them ragged, the envelopes skip some, and
     the row passes (the delta and d streams, the sandwich, the
-    equivalence, the distinct values, the envelope and the diffusion
-    distances) take several blocks.  A Hypothesis property that takes this
+    equivalence, the distinct values and the diffusion distances) take
+    several blocks.  A Hypothesis property that takes this
     fixture keeps one setting for all its examples.
     """
     monkeypatch.setattr(kernels, "_BLOCK", request.param)

@@ -109,6 +109,22 @@ def test_distance_ball_takes_an_infinite_radius_and_rejects_nan():
             distance_ball(row, 0, r)
 
 
+@pytest.mark.parametrize("center", (-1, 12, 2.5))
+@pytest.mark.parametrize("call", ("distance_ball", "euclidean_distances", "annuli", "affinity_bands"))
+def test_library_calls_reject_a_center_that_is_no_vertex(call, center):
+    """Each call checks its own center: -1 would read the last vertex, 12 no vertex of 0..11, and 2.5 none."""
+    kernel = newtonian_kernel(12, 1.0)
+    row = np.arange(12.0)
+    calls = {
+        "distance_ball": lambda: distance_ball(row, center, 1.0),
+        "euclidean_distances": lambda: euclidean_distances(12, center),
+        "annuli": lambda: annuli(row, [1.0, 2.0], center),
+        "affinity_bands": lambda: affinity_bands(kernel, compute_lambda_sequence(kernel), center),
+    }
+    with pytest.raises(InvalidParameterError, match="center"):
+        calls[call]()
+
+
 def test_euclidean_distances_examples():
     assert euclidean_distances(4, 0).tolist() == [0.0, 1.0, 2.0, 3.0]
     assert euclidean_distances(60, 59).max() == 59.0

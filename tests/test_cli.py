@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -101,10 +104,11 @@ GOLDEN_300 = {
 }
 
 
-def test_pipeline_300_outputs_byte_identical(tmp_path):
+def golden_300_commands(tmp_path):
+    """The pipeline whose outputs GOLDEN_300 pins, writing into tmp_path."""
     k = tmp_path / "k300.csv"
     lam = tmp_path / "l.json"
-    commands = [
+    return [
         ("gen", "--n", 300, "--alpha", 1, "-o", k),
         ("lambda", "-i", k, "-o", lam),
         ("delta", "-i", k, "--lambda", lam, "-o", tmp_path / "delta.csv"),
@@ -114,8 +118,30 @@ def test_pipeline_300_outputs_byte_identical(tmp_path):
         ("balls", "-i", k, "--lambda", lam, "--center", 250, "-o", tmp_path / "balls_f.json", "--dot", tmp_path / "balls_f.dot"),
         ("compare", "-i", k, "--center", 125, "--radius-f", 0.0625, "--radius-e", 9, "-o", tmp_path / "compare.json"),
     ]
-    for command in commands:
+
+
+def test_pipeline_300_outputs_byte_identical(tmp_path):
+    for command in golden_300_commands(tmp_path):
         assert run(*command) == 0, command
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_300}
+    assert digests == GOLDEN_300
+
+
+RUN_COMMANDS = """
+import json, sys
+from graphmetrize.cli import main
+for command in json.loads(sys.argv[1]):
+    if main(command) != 0:
+        sys.exit(f"failed: {command}")
+"""
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_pipeline_300_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
+    """GOLDEN_300's commands in a new process under one BLAS thread or two: float32 indicator counts are exact in any summation order."""
+    commands = [[str(a) for a in command] for command in golden_300_commands(tmp_path)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], env=env, check=True, timeout=300)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_300}
     assert digests == GOLDEN_300
 

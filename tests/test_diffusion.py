@@ -120,6 +120,7 @@ def test_eig_agrees_with_library_solver():
         decomp = eig_symmetric(matrix)
         assert np.array_equal(decomp.eigenvalues, eigenvalues)
         assert np.array_equal(decomp.eigenvectors, eigenvectors)
+        assert not (decomp.eigenvalues.flags.writeable or decomp.eigenvectors.flags.writeable)
 
 
 def test_eig_lapack_failure_is_numeric_error(tmp_path, monkeypatch):

@@ -265,6 +265,7 @@ def test_delta_4x4_script_values():
     assert dm.values[0, 3] == 0.5
     assert (np.diagonal(dm.values) == 0).all()
     assert np.array_equal(dm.values, dm.values.T)
+    assert not dm.values.flags.writeable
 
 
 def test_delta_offdiagonal_values_are_dyadic(corpus):
@@ -296,6 +297,7 @@ def test_chain_metric_4x4_matches_exhaustive_oracle():
     pm = chain_metric(kernel, seq)
     oracle = exhaustive_chain_metric(delta_matrix(kernel, seq).values)
     assert np.array_equal(pm.values, oracle)
+    assert not pm.values.flags.writeable
     assert pm.values[0, 1] == 0.25
     assert pm.values[0, 2] == 0.5
     assert pm.values[0, 3] == 0.5
@@ -546,6 +548,17 @@ def test_equivalence_matches_brute_force_ratios(case):
     assert dataclasses.asdict(verify_equivalence(delta, metric)) == brute_equivalence(delta, metric)
 
 
+def test_equivalence_fails_on_a_nan_ratio():
+    """A NaN d is a NaN ratio: c_lo is NaN, not the smallest of the other ratios, and the band fails."""
+    kernel = newtonian_kernel(4, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    values = chain_metric(kernel, seq).values.copy()
+    values[0, 2] = values[2, 0] = np.nan
+    report = verify_equivalence(delta_matrix(kernel, seq), PseudoMetricMatrix(n=4, values=values))
+    assert np.isnan(report.c_lo) and np.isnan(report.c_hi)
+    assert not report.passed
+
+
 def test_equivalence_detects_scaled_violation():
     kernel = newtonian_kernel(4, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
@@ -588,12 +601,30 @@ def searchsorted_delta(kernel, variant):
     return QuasiMetricMatrix(n=kernel.n, values=values)
 
 
+def diagonal_quasi_metrics(rng):
+    """Tables whose diagonal entries are not zero, which x != y != z leaves out.
+
+    In the 4 x 4 one C = 6/7, but with the diagonal left in the indicators the
+    pair (2, 3) is joined through vertex 2 itself and reads 1 / (0.1 + 1) =
+    10/11.  In the random ones, with off-diagonal entries 0.1 .. 1, a diagonal
+    pair left among a product's pairs has a value that may be no level's.
+    """
+    out = [QuasiMetricMatrix(n=4, values=np.array([[0, 0.1, 0.6, 0.6], [0.1, 0, 0.6, 0.6], [0.6, 0.6, 0, 1], [0.6, 0.6, 1, 0]]))]
+    for n in (3, 4, 5, 6, 8, 9, 11, 13):
+        values = np.triu(rng.integers(1, 11, (n, n)) / 10, 1)
+        values += values.T
+        np.fill_diagonal(values, rng.choice((0.0, 0.25, 0.5, 1.0, 3.0), n))
+        out.append(QuasiMetricMatrix(n=n, values=values))
+    return out
+
+
 def test_quasi_triangle_matches_brute_force_oracle(corpus):
     rng = np.random.default_rng(31)
     script = [delta_matrix(kernel, compute_lambda_sequence(kernel)) for kernel in corpus]
     assert all(np.array_equal(d.values, searchsorted_delta(k, "script").values) for k, d in zip(corpus, script))
     cases = script + [searchsorted_delta(kernel, variant) for kernel in corpus for variant in ("upper", "lower")]
     cases += euclidean_quasi_metrics(rng)
+    cases += diagonal_quasi_metrics(rng)
     for qm in cases:
         assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(qm.values)
     asymmetric = np.round(rng.random((9, 9)), 1)
@@ -668,12 +699,12 @@ def assert_tiled_products_match_reference_oracles(kernel, delta):
     level = np.searchsorted(v, delta)
     np.fill_diagonal(level, v.size)
     products = _Products(n)
-    deepest, rank = partial(np.maximum.reduce, axis=None, initial=v[0]), dict(zip(v.tolist(), range(v.size)))
+    deepest = partial(np.maximum.reduce, axis=None, initial=v[0])
     for p in range(v.size):
         for q in range(p, v.size):
             left, right = (metrize._Indicator(delta, np.less_equal, v[i], False) for i in (p, q))
             for upper in (False, True) if p == q else (False,):  # a symmetric product
-                assert metrize._joined(products, left, right, upper, deepest, rank) == reference_joined(level, p, q, upper)
+                assert metrize._joined(products, left, right, upper, deepest, np.less_equal, v) == reference_joined(level, p, q, upper)
     assert quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta)) == reference_quasi_triangle_constant(delta)
 
 
@@ -685,12 +716,40 @@ def test_tiled_products_match_reference_oracles(n):
         assert_tiled_products_match_reference_oracles(kernel, delta)
 
 
-# With strips and tiles 1 to 5 wide, n = 3 .. 25 forms several tiles, most of them ragged, skips
-# tiles outside the envelopes and zeroes the square between formed tiles.
+# With strips and tiles 1 to 5 wide, n = 3 .. 25 forms several tiles, most of them ragged, and skips
+# tiles outside the envelopes; gap_kernels below are the cases that need the square zeroed between formed tiles.
 @pytest.mark.parametrize("n", (3, 7, 12, 25))
 def test_small_tiles_match_reference_oracles(small_tiles, n):
     for kernel, delta in tiling_cases(n):
         assert_tiled_products_match_reference_oracles(kernel, delta)
+
+
+def gap_kernels(rng, count):
+    """Kernels 1 / |i - j| ** 2 on n = 5 .. 25 vertices with diagonal 2 and one to three symmetric long-range entries of 1/4, 1/2 or 1.
+
+    A far entry makes a row strip of the square form a tile beyond the
+    band, with skipped tiles between.  The square buffer still holds the
+    counts of earlier strips and rounds there, and the cube's tiles read
+    those columns against rows that are nonzero in later tiles.
+    """
+    gaps = np.abs(np.subtract.outer(np.arange(25), np.arange(25)))
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(5, 26))
+        values = 1.0 / np.maximum(gaps[:n, :n], 1) ** 2
+        np.fill_diagonal(values, 2.0)
+        for _ in range(rng.integers(1, 4)):
+            x, y = rng.choice(n, 2, replace=False)
+            values[x, y] = values[y, x] = rng.choice((0.25, 0.5, 1.0))
+        out.append(affinity_matrix(values))
+    return out
+
+
+def test_small_tiles_sweep_clears_the_square_between_formed_tiles(small_tiles):
+    """The sweep steps as the untiled reference does on kernels whose row strips skip tiles between formed ones."""
+    for kernel in gap_kernels(np.random.default_rng(5), 300):
+        seq = compute_lambda_sequence(kernel)
+        assert [reference_sweep_step(kernel, t) for t in seq.values[1:]] == seq.values[:-1].tolist()
 
 
 def test_quasi_triangle_memory_is_quadratic():
@@ -709,6 +768,23 @@ def test_tiled_stages_memory_at_600():
     assert traced_peak(compute_lambda_sequence, kernel) < 4 * n * n
     assert traced_peak(level_nesting, kernel, seq) < 4 * n * n
     assert traced_peak(quasi_triangle_constant, delta_matrix(kernel, seq)) < 3 * n * n
+
+
+def test_verify_metrization_memory_at_600():
+    """The quasi-triangle reads its level sets from the kernel, with no n x n index beside its buffers, and the closure comes after it."""
+    n = 600
+    kernel = newtonian_kernel(n, 1.0)
+    assert traced_peak(verify_metrization, kernel, compute_lambda_sequence(kernel)) < 2.5 * n * n
+
+
+# On newtonian_kernel(60) no off-diagonal pair reaches {K >= 3}, the deepest level of the first
+# sequence, and both put lambda(0) above the kernel minimum 1/59, so the shallowest level is delta = 1.
+@pytest.mark.parametrize("values, constant", (((1 / 9, 1.0, 3.0), 4 / 3), ((1 / 27, 1 / 9, 1 / 3, 1.0), 16 / 9)))
+def test_verify_metrization_constant_over_unreached_and_floor_levels(values, constant):
+    kernel = newtonian_kernel(60, 1.0)
+    seq = LambdaSequence(values=np.array(values), iterations=0)
+    expected = reference_quasi_triangle_constant(delta_matrix(kernel, seq).values)
+    assert verify_metrization(kernel, seq)[2] == expected == constant
 
 
 def test_quasi_triangle_requires_three_vertices():
