@@ -16,9 +16,7 @@ from graphmetrize import (
     delta_ball,
     delta_matrix,
     newtonian_kernel,
-    quasi_triangle_constant,
-    verify_equivalence,
-    verify_sandwich,
+    verify_metrization,
     write_matrix_csv,
 )
 
@@ -38,13 +36,12 @@ def main():
     print(f"delta row 50, vertices 46..54: {dm.values[50, 46:55].tolist()}")
     print(f"chain row 50, vertices 46..54: {pm.values[50, 46:55].tolist()}")
 
-    sandwich = verify_sandwich(kernel, seq, pm)
+    sandwich, equivalence, constant = verify_metrization(kernel, seq)
     print(f"sandwich: left {sandwich.left_pass}, shifts {sandwich.right_shift}, "
           f"tightest {sandwich.tightest_shift}")
-    equivalence = verify_equivalence(dm, pm)
     print(f"equivalence band: d/delta in [{equivalence.c_lo}, {equivalence.c_hi}] "
           f"over {equivalence.pairs} pairs")
-    print(f"quasi-triangle constant: {quasi_triangle_constant(dm):.6f}")
+    print(f"quasi-triangle constant: {constant:.6f}")
 
     for q in range(1, seq.k + 2):
         ball = delta_ball(kernel, seq, 50, 2.0 ** -q)

@@ -72,16 +72,16 @@ class LambdaSequence:
 class QuasiMetricMatrix:
     """Dyadic quasi-metric 2 ** -index with zero diagonal."""
 
-    n: int
     values: np.ndarray
+    n = property(lambda self: self.values.shape[0])  # derived, so it cannot disagree with values
 
 
 @dataclass(frozen=True)
 class PseudoMetricMatrix:
     """Chain pseudo-metric: shortest paths over the script delta."""
 
-    n: int
     values: np.ndarray
+    n = property(lambda self: self.values.shape[0])  # derived, so it cannot disagree with values
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def compute_lambda_sequence(
             )
 
     kernel_min = float(kernel.values.min())
-    products = _Products(kernel.n, square=True)
+    products = _Products(kernel.n)
     descending = [seed]
     iterations = 0
     while True:
@@ -222,10 +222,9 @@ class _Products:
     its heap.
     """
 
-    def __init__(self, n: int, square: bool = False):
+    def __init__(self, n: int):
         self.n, self.rows, self.width = n, min(n, kernels._BLOCK), _tile_width(n)
         self.strip = np.empty(self.rows * n, np.float32)
-        self.square = np.empty((self.rows, n), np.float32) if square else None  # the sweep's strip of the square
         self.tile = np.empty(n * self.width, np.float32)
         self.out = np.empty(self.rows * self.width, np.float32)
         self.held = None  # the indicator the tile buffer holds whole, while one tile spans the matrix
@@ -280,23 +279,22 @@ def _sweep_step(kernel: AffinityMatrix, threshold: float, products: _Products, f
     counts, so a sum with a path in it is >= 1 however it rounds.  The
     kernel is symmetric (an AffinityMatrix invariant) and so are the
     counts: per row strip R, the square's strip ind[R] @ ind is formed
-    tile by tile, and then the cube's tiles on and above the diagonal,
-    square[R] @ ind[:, C]; only their running minimum of K is kept,
-    until it reaches floor, the kernel minimum (the sweep's last step).
-    While the threshold is at most the smallest diagonal entry, the cube
-    holds the diagonal and so is never empty.
+    tile by tile into a zeroed strip, and then the cube's tiles on and
+    above the diagonal, square[R] @ ind[:, C]; only their running
+    minimum of K is kept, until it reaches floor, the kernel minimum
+    (the sweep's last step).  While the threshold is at most the smallest
+    diagonal entry, the cube holds the diagonal and so is never empty.
     """
-    values = kernel.values
-    level = _Indicator(values, np.greater_equal, threshold)
+    level = _Indicator(kernel.values, np.greater_equal, threshold)
     low = np.inf
+    buffer = np.empty((products.rows, products.n), np.float32)
     for rows, strip, lo in products.strips(level, shared=True):
-        square = products.square[: len(strip)]
+        square = buffer[: len(strip)]
+        square.fill(0.0)  # a tile the product skips reads 0, whatever an earlier strip left there
         formed = [cols for cols, _ in products.tiles(strip, lo, level, into=square)]
-        for before, after in zip(formed, formed[1:]):
-            square[:, before.stop:after.start] = 0.0  # skipped tiles between formed ones
         first, last = (formed[0].start, formed[-1].stop) if formed else (0, 0)
         for cols, cube in products.tiles(square[:, first:last], first, level, start=rows.start):
-            low = min(low, values[rows, cols].min(where=cube > 0, initial=np.inf))
+            low = min(low, kernel.values[rows, cols].min(where=cube > 0, initial=np.inf))
             if low <= floor:
                 return float(low)
     return float(low)
@@ -308,7 +306,7 @@ def level_nesting(kernel: AffinityMatrix, seq: LambdaSequence) -> bool:
     That holds exactly when the sweep's step from lambda(i), the smallest
     affinity the cube of U(i) reaches, is at least lambda(i - 1).
     """
-    products, floor = _Products(kernel.n, square=True), kernel.values.min()
+    products, floor = _Products(kernel.n), kernel.values.min()
     return all(_sweep_step(kernel, seq.values[i], products, floor) >= seq.values[i - 1] for i in range(1, seq.k + 1))
 
 
@@ -337,7 +335,7 @@ def delta_matrix(kernel: AffinityMatrix, seq: LambdaSequence) -> QuasiMetricMatr
     """Dyadic quasi-metric 2 ** -index(K) of the script index, with the diagonal forced to zero."""
     vals = _delta_block(kernel, seq, slice(0, kernel.n))
     vals.setflags(write=False)
-    return QuasiMetricMatrix(n=kernel.n, values=vals)
+    return QuasiMetricMatrix(values=vals)
 
 
 def _delta_block(kernel: AffinityMatrix, seq: LambdaSequence, rows: slice) -> np.ndarray:
@@ -365,10 +363,9 @@ def chain_metric(kernel: AffinityMatrix, seq: LambdaSequence) -> PseudoMetricMat
     2 ** (k + 1) in float64, exact for k <= 52 and rounded to nearest
     beyond; k > 60 raises InvalidParameterError.
     """
-    scale = _chain_scale(seq)
-    values = np.ldexp(_closure(_inverse_indices(seq.values, kernel.values), scale), -scale, dtype=np.float64)
+    values = np.ldexp(_closure(kernel, seq), -_chain_scale(seq), dtype=np.float64)
     values.setflags(write=False)
-    return PseudoMetricMatrix(n=kernel.n, values=values)
+    return PseudoMetricMatrix(values=values)
 
 
 def _chain_rows(kernel: AffinityMatrix, seq: LambdaSequence):
@@ -376,8 +373,7 @@ def _chain_rows(kernel: AffinityMatrix, seq: LambdaSequence):
 
     k is checked and the closure built before it returns, so a writer of the rows fails before it opens its output.
     """
-    scale = _chain_scale(seq)
-    closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
+    closure, scale = _closure(kernel, seq), _chain_scale(seq)
     return (row for rows in _row_blocks(kernel.n) for row in np.ldexp(closure[rows], -scale, dtype=np.float64))
 
 
@@ -388,24 +384,26 @@ def _chain_scale(seq: LambdaSequence) -> int:
     return seq.k + 1
 
 
-def _closure(index: np.ndarray, scale: int) -> np.ndarray:
-    """2 ** scale times the chain metric of the script level index, in unsigned integers with a zero diagonal.
+def _closure(kernel: AffinityMatrix, seq: LambdaSequence) -> np.ndarray:
+    """2 ** scale times the chain metric, scale = k + 1, in unsigned integers with a zero diagonal; k > 60 raises InvalidParameterError.
 
-    Every scaled weight 2 ** (scale - index - 1) is a power of two up to
-    2 ** top, top = scale - index.min() (k when lambda(0) is at most the
-    kernel minimum).  Floyd-Warshall stores them less one, so it is exact
-    in the narrowest unsigned type with more than top bits: every entry
-    stays below 2 ** top, and a relaxed sum a + b is stored as
-    a' + b' + 1 < 2 ** (top + 1).  The diagonal keeps its own weight
-    during the closure, since a positive self-loop never shortens a path.
+    Every scaled weight 2 ** (scale - index - 1), formed from the kernel a
+    row block at a time, is a power of two up to 2 ** top, top = scale -
+    index(K.min()) (k when lambda(0) is at most the kernel minimum).
+    Floyd-Warshall stores them less one, so it is exact in the narrowest
+    unsigned type with more than top bits: every entry stays below
+    2 ** top, and a relaxed sum a + b is stored as a' + b' + 1 below
+    2 ** (top + 1).  The diagonal keeps its own weight during the
+    closure, since a positive self-loop never shortens a path.
     The closure is symmetric, so the pivot's column is read from its row.
     When top <= 1 the weights are the closure and no pivot runs.
     """
-    top = scale - int(index.min())
+    scale = _chain_scale(seq)
+    top = scale - int(_inverse_indices(seq.values, kernel.values.min()))
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top < np.iinfo(t).bits)
-    # The shifts scale - index lie in 0 .. scale, so the unsafe cast to dtype is exact.
-    dist = np.subtract(scale, index, out=np.empty(index.shape, dtype), casting="unsafe")
-    del index  # chain_metric's index is a temporary: freed before the closure
+    dist = np.empty((kernel.n, kernel.n), dtype)
+    for rows in _row_blocks(kernel.n):  # the shifts lie in 0 .. scale, so the unsafe cast to dtype is exact
+        np.subtract(scale, _inverse_indices(seq.values, kernel.values[rows]), out=dist[rows], casting="unsafe")
     np.left_shift(1, dist, out=dist)
     if top > 1:  # with every weight 1 or 2, no path of two steps or more is shorter than one step
         dist -= 1
@@ -416,7 +414,6 @@ def _closure(index: np.ndarray, scale: int) -> np.ndarray:
             np.add(pivot, 1, out=row)
             np.add(column, pivot, out=tmp)
             np.minimum(dist, tmp, out=dist)
-        del tmp
         dist += 1
     np.fill_diagonal(dist, 0)
     return dist
@@ -441,7 +438,7 @@ def verify_metrization(kernel: AffinityMatrix, seq: LambdaSequence) -> tuple:
         levels = np.arange(seq.k + 1, -1 if kernel.values.min() < seq.values[0] else 0, -1)
         cuts = np.append(seq.values[::-1], 0.0)[: levels.size]  # lambda(c - 1), and 0.0 for c = 0
         constant = _quasi_triangle(kernel.values, np.greater_equal, cuts, np.ldexp(1.0, -levels))
-    closure = _closure(_inverse_indices(seq.values, kernel.values), scale)
+    closure = _closure(kernel, seq)
     sandwich = _sandwich(kernel, seq, lambda rows, idx: closure[rows] < 1 << (scale - idx))
     equivalence = _equivalence(
         kernel.n,
@@ -516,11 +513,11 @@ def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:
     """Smallest C with delta(x, z) <= C * (delta(x, y) + delta(y, z)) over distinct x, y, z.
 
     Needs at least 3 vertices and symmetric, finite, nonnegative entries,
-    else DomainError (delta_matrix output always is symmetric); triples
-    whose hops sum to zero are skipped.  The m distinct off-diagonal
-    values go to _quasi_triangle, which compares delta with them.  The
-    cost is up to m**2 products: about k + 1 for delta_matrix output (m
-    is at most k + 2), slow for m near n**2 / 2.
+    else DomainError (delta_matrix output always is symmetric).  C is inf
+    where two zero hops join a positive delta(x, z); 0 / 0 is skipped.
+    The m distinct off-diagonal values go to _quasi_triangle: up to m**2
+    products, about k + 1 for delta_matrix output (m is at most k + 2),
+    slow for m near n**2 / 2.
     """
     if delta.n < 3:
         raise DomainError(f"need at least 3 vertices, got {delta.n}")
@@ -581,6 +578,8 @@ def _quasi_triangle(source: np.ndarray, test: np.ufunc, cuts: np.ndarray, v: np.
         if v[0] + v[q] > 0 and v[-1] / (v[0] + v[q]) <= worst:
             break
         top = joined(q, q, True)
+        if v[q] == 0 < top:  # two zero hops join a positive delta: no finite C
+            return np.inf
         diagonal.append(top)
         p = bisect.bisect_left(diagonal, top)  # from p on, M(p, q) = M(q, q)
         if top >= 0 and v[p] + v[q] > 0:

@@ -280,7 +280,7 @@ def reference_quasi_triangle_constant(values):
 
 
 def brute_quasi_triangle_constant(values):
-    """Max of delta(x, z) / (delta(x, y) + delta(y, z)) over distinct x, y, z with a positive sum."""
+    """Max of delta(x, z) / (delta(x, y) + delta(y, z)) over distinct x, y, z: inf where a zero sum meets a positive delta(x, z), and 0 / 0 skipped."""
     rows = np.asarray(values, dtype=np.float64).tolist()
     n = len(rows)
     worst = 0.0
@@ -294,6 +294,8 @@ def brute_quasi_triangle_constant(values):
                 denom = rows[x][y] + rows[y][z]
                 if denom > 0:
                     worst = max(worst, rows[x][z] / denom)
+                elif rows[x][z] > 0:
+                    return float("inf")
     return worst
 
 

@@ -136,14 +136,60 @@ for command in json.loads(sys.argv[1]):
 """
 
 
+def run_in_new_process(commands, threads):
+    """Run CLI commands in a new Python process whose BLAS has that many threads."""
+    commands = [[str(a) for a in command] for command in commands]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], env=env, check=True, timeout=300)
+
+
 @pytest.mark.parametrize("threads", ("1", "2"))
 def test_pipeline_300_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     """GOLDEN_300's commands in a new process under one BLAS thread or two: float32 indicator counts are exact in any summation order."""
-    commands = [[str(a) for a in command] for command in golden_300_commands(tmp_path)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], env=env, check=True, timeout=300)
+    run_in_new_process(golden_300_commands(tmp_path), threads)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_300}
     assert digests == GOLDEN_300
+
+
+# sha256 of diffusion's outputs on the 60-vertex power-law kernel, the same
+# under one BLAS thread and two on the numpy and OpenBLAS build the tests
+# run on.  Spectral bytes are pinned only at a fixed build and thread
+# count: at n = 600 a threaded reduction moves their last bits, which the
+# tolerance check below allows.
+SPECTRAL_60 = {
+    "diffusion.csv": "b1fcf23a498c4820eb9a43423c4d415645ca9705570e60c23f1cbb8bf5c2475a",
+    "eig.json": "6d6d34eece5f39a7af37a20c233f2bc3e6cc1fe03ec8c66c38f4ee1a5f02f51e",
+}
+
+
+def spectral_commands(tmp_path, n):
+    """gen on n vertices, then diffusion at t = 0.005 with its eigendecomposition, writing into tmp_path."""
+    k = tmp_path / "k.csv"
+    return [
+        ("gen", "--n", n, "--alpha", 1, "-o", k),
+        ("diffusion", "-i", k, "--t", 0.005, "-o", tmp_path / "diffusion.csv", "--eig-output", tmp_path / "eig.json"),
+    ]
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_spectral_60_bytes_under_one_and_two_blas_threads(tmp_path, threads):
+    run_in_new_process(spectral_commands(tmp_path, 60), threads)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SPECTRAL_60}
+    assert digests == SPECTRAL_60
+
+
+def test_spectral_600_outputs_agree_within_tolerance_under_one_and_two_blas_threads(tmp_path):
+    """Distances and eigenvalues within 1e-12, eigenvectors within 1e-10 once each column's sign matches the first run's."""
+    runs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        run_in_new_process(spectral_commands(tmp_path / threads, 600), threads)
+        eig = json.loads((tmp_path / threads / "eig.json").read_text())
+        runs.append((read_matrix_csv(tmp_path / threads / "diffusion.csv"), np.array(eig["eigenvalues"]), np.array(eig["eigenvectors"])))
+    (d1, w1, v1), (d2, w2, v2) = runs
+    assert np.abs(d1 - d2).max() <= 1e-12
+    assert np.abs(w1 - w2).max() <= 1e-12
+    assert np.abs(v1 - v2 * np.sign((v1 * v2).sum(axis=0))).max() <= 1e-10
 
 
 # sha256 of each consumer's output for a sequence that lambda seeds with

@@ -105,7 +105,7 @@ def test_lambda_triple_composition_nesting_brute_force():
 
 def assert_nests_by_construction(kernel, seq):
     """lambda(i - 1) is the sweep's step from lambda(i) at every level, so level_nesting holds."""
-    products = _Products(kernel.n, square=True)
+    products = _Products(kernel.n)
     floor = kernel.values.min()
     assert [_sweep_step(kernel, t, products, floor) for t in seq.values[1:]] == seq.values[:-1].tolist()
     assert level_nesting(kernel, seq)
@@ -393,11 +393,11 @@ def sandwich_cases(draw):
         metric = own
     elif choice == "scaled":
         factor = draw(st.sampled_from((0.125, 0.25, 4.0, 16.0)))
-        metric = PseudoMetricMatrix(n=n, values=own.values * factor)
+        metric = PseudoMetricMatrix(values=own.values * factor)
     elif choice == "other":
         metric = chain_metric(other, compute_lambda_sequence(other))
     else:
-        metric = PseudoMetricMatrix(n=n, values=np.ones((n, n)))
+        metric = PseudoMetricMatrix(values=np.ones((n, n)))
     return kernel, seq, metric
 
 
@@ -463,7 +463,7 @@ def test_chain_metric_memory_is_quadratic():
 
 
 def test_lambda_sequence_memory_reuses_its_buffers():
-    """One n x n float32 indicator, a strip of its square and a block of the cube, allocated once per sweep or check."""
+    """One n x n float32 indicator and a block of the cube, allocated once per sweep or check, and a strip of the square once per step."""
     n = 300
     kernel = newtonian_kernel(n, 1.0, 2.0)
     assert traced_peak(compute_lambda_sequence, kernel) < 9.5 * n * n
@@ -495,7 +495,7 @@ def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
         # of a shrunken metric reach them and no level set holds the ball.
         # A one-value sequence has no bottom to drop.
         sequences = (seq, LambdaSequence(values=seq.values[1:], iterations=seq.iterations)) if seq.k else (seq,)
-        shrunk = PseudoMetricMatrix(n=pm.n, values=pm.values * 0.125)
+        shrunk = PseudoMetricMatrix(values=pm.values * 0.125)
         for s, metric in itertools.product(sequences, (pm, shrunk)):
             report = verify_sandwich(kernel, s, metric)
             expected = reference_sandwich(kernel, s, metric)
@@ -530,7 +530,7 @@ def equivalence_cases(draw):
     dm = delta_matrix(kernel, compute_lambda_sequence(kernel, band))
     scale = draw(st.sampled_from((1.0, 0.0625, 16.0)))
     other = draw(st.just(kernel) | metrizable_kernels(n))
-    delta = QuasiMetricMatrix(n=n, values=dm.values * scale)
+    delta = QuasiMetricMatrix(values=dm.values * scale)
     metric = chain_metric(other, compute_lambda_sequence(other, band))
     if draw(st.booleans()):
         x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
@@ -554,7 +554,7 @@ def test_equivalence_fails_on_a_nan_ratio():
     seq = compute_lambda_sequence(kernel)
     values = chain_metric(kernel, seq).values.copy()
     values[0, 2] = values[2, 0] = np.nan
-    report = verify_equivalence(delta_matrix(kernel, seq), PseudoMetricMatrix(n=4, values=values))
+    report = verify_equivalence(delta_matrix(kernel, seq), PseudoMetricMatrix(values=values))
     assert np.isnan(report.c_lo) and np.isnan(report.c_hi)
     assert not report.passed
 
@@ -563,7 +563,7 @@ def test_equivalence_detects_scaled_violation():
     kernel = newtonian_kernel(4, 1.0, 2.0)
     seq = compute_lambda_sequence(kernel)
     dm = delta_matrix(kernel, seq)
-    scaled = QuasiMetricMatrix(n=dm.n, values=dm.values * 100.0)
+    scaled = QuasiMetricMatrix(values=dm.values * 100.0)
     report = verify_equivalence(scaled, chain_metric(kernel, seq))
     assert not report.passed
 
@@ -577,7 +577,7 @@ def test_quasi_triangle_4x4_is_one():
 def test_quasi_triangle_on_true_metric_at_most_one():
     coords = np.array([0.0, 1.0, 3.5, 4.0, 9.0])
     dist = np.abs(coords[:, None] - coords[None, :])
-    qm = QuasiMetricMatrix(n=5, values=dist)
+    qm = QuasiMetricMatrix(values=dist)
     assert quasi_triangle_constant(qm) <= 1.0
 
 
@@ -589,8 +589,8 @@ def euclidean_quasi_metrics(rng):
             pts = rng.random((n, 2))
             pts[:repeats] = pts[n - 1]
             dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            out.append(QuasiMetricMatrix(n=n, values=dist))
-    out.append(QuasiMetricMatrix(n=3, values=np.zeros((3, 3))))
+            out.append(QuasiMetricMatrix(values=dist))
+    out.append(QuasiMetricMatrix(values=np.zeros((3, 3))))
     return out
 
 
@@ -598,7 +598,7 @@ def searchsorted_delta(kernel, variant):
     """Dyadic quasi-metric 2 ** -index(K) of searchsorted_inverse's variant, with a zero diagonal."""
     values = np.ldexp(1.0, -searchsorted_inverse(compute_lambda_sequence(kernel).values, kernel.values, variant))
     np.fill_diagonal(values, 0.0)
-    return QuasiMetricMatrix(n=kernel.n, values=values)
+    return QuasiMetricMatrix(values=values)
 
 
 def diagonal_quasi_metrics(rng):
@@ -609,12 +609,28 @@ def diagonal_quasi_metrics(rng):
     10/11.  In the random ones, with off-diagonal entries 0.1 .. 1, a diagonal
     pair left among a product's pairs has a value that may be no level's.
     """
-    out = [QuasiMetricMatrix(n=4, values=np.array([[0, 0.1, 0.6, 0.6], [0.1, 0, 0.6, 0.6], [0.6, 0.6, 0, 1], [0.6, 0.6, 1, 0]]))]
+    out = [QuasiMetricMatrix(values=np.array([[0, 0.1, 0.6, 0.6], [0.1, 0, 0.6, 0.6], [0.6, 0.6, 0, 1], [0.6, 0.6, 1, 0]]))]
     for n in (3, 4, 5, 6, 8, 9, 11, 13):
         values = np.triu(rng.integers(1, 11, (n, n)) / 10, 1)
         values += values.T
         np.fill_diagonal(values, rng.choice((0.0, 0.25, 0.5, 1.0, 3.0), n))
-        out.append(QuasiMetricMatrix(n=n, values=values))
+        out.append(QuasiMetricMatrix(values=values))
+    return out
+
+
+def rounded_quasi_metrics(rng, count):
+    """Tables of random entries rounded to tenths on n = 3 .. 12 vertices, diagonal 0 or 0.5.
+
+    Their off-diagonal zeros need not be transitive, so two zero hops may
+    join a positive delta, and no finite C holds.
+    """
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 13))
+        upper = np.triu(np.round(rng.random((n, n)), 1), 1)
+        values = upper + upper.T
+        np.fill_diagonal(values, rng.choice((0.0, 0.5), n))
+        out.append(QuasiMetricMatrix(values=values))
     return out
 
 
@@ -625,12 +641,15 @@ def test_quasi_triangle_matches_brute_force_oracle(corpus):
     cases = script + [searchsorted_delta(kernel, variant) for kernel in corpus for variant in ("upper", "lower")]
     cases += euclidean_quasi_metrics(rng)
     cases += diagonal_quasi_metrics(rng)
-    for qm in cases:
-        assert quasi_triangle_constant(qm) == brute_quasi_triangle_constant(qm.values)
+    rounded = rounded_quasi_metrics(np.random.default_rng(63), 600)
+    constants = [quasi_triangle_constant(qm) for qm in cases + rounded]
+    assert constants == [brute_quasi_triangle_constant(qm.values) for qm in cases + rounded]
+    assert np.isfinite(constants[: len(cases)]).all()
+    assert np.isinf(constants[len(cases):]).sum() == 155
     asymmetric = np.round(rng.random((9, 9)), 1)
     np.fill_diagonal(asymmetric, 0.0)
     with pytest.raises(DomainError, match="symmetric"):
-        quasi_triangle_constant(QuasiMetricMatrix(n=9, values=asymmetric))
+        quasi_triangle_constant(QuasiMetricMatrix(values=asymmetric))
 
 
 def newtonian_delta(n):
@@ -645,17 +664,17 @@ def test_row_blocked_products_match_whole_products(n):
     rng = np.random.default_rng(n)
     kernel = random_kernel(rng, n)
     seq = compute_lambda_sequence(kernel)
-    products = _Products(n, square=True)
+    products = _Products(n)
     for t in np.append(seq.values, rng.choice(kernel.values.ravel(), 4)):
         ind = (kernel.values >= t).astype(np.float64)
         assert _sweep_step(kernel, t, products, kernel.values.min()) == kernel.values.min(where=ind @ ind @ ind > 0, initial=np.inf)
     asymmetric = rng.integers(0, 4, (n, n)) / 4.0
     np.fill_diagonal(asymmetric, 0.0)
     for values in (delta_matrix(kernel, seq).values, newtonian_delta(n)):
-        qm = QuasiMetricMatrix(n=n, values=values)
+        qm = QuasiMetricMatrix(values=values)
         assert quasi_triangle_constant(qm) == middle_vertex_quasi_triangle_constant(values)
     with pytest.raises(DomainError, match="symmetric"):
-        quasi_triangle_constant(QuasiMetricMatrix(n=n, values=asymmetric))
+        quasi_triangle_constant(QuasiMetricMatrix(values=asymmetric))
 
 
 def tiling_cases(n):
@@ -686,14 +705,14 @@ def assert_tiled_products_match_reference_oracles(kernel, delta):
     if kernel is not None:
         seq = compute_lambda_sequence(kernel)
         thresholds = np.append(seq.values, np.random.default_rng(n).choice(kernel.values.ravel(), 3))
-        products = _Products(n, square=True)
+        products = _Products(n)
         for t in thresholds:
             assert _sweep_step(kernel, t, products, -np.inf) == reference_sweep_step(kernel, t)
         assert_sweep_matches_reference(kernel, seq)
         assert verify_metrization(kernel, seq)[2] == reference_quasi_triangle_constant(delta)
     if not np.array_equal(delta, delta.T):
         with pytest.raises(DomainError, match="symmetric"):
-            quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta))
+            quasi_triangle_constant(QuasiMetricMatrix(values=delta))
         return
     v = np.unique(delta[~np.eye(n, dtype=bool)])
     level = np.searchsorted(v, delta)
@@ -705,7 +724,7 @@ def assert_tiled_products_match_reference_oracles(kernel, delta):
             left, right = (metrize._Indicator(delta, np.less_equal, v[i], False) for i in (p, q))
             for upper in (False, True) if p == q else (False,):  # a symmetric product
                 assert metrize._joined(products, left, right, upper, deepest, np.less_equal, v) == reference_joined(level, p, q, upper)
-    assert quasi_triangle_constant(QuasiMetricMatrix(n=n, values=delta)) == reference_quasi_triangle_constant(delta)
+    assert quasi_triangle_constant(QuasiMetricMatrix(values=delta)) == reference_quasi_triangle_constant(delta)
 
 
 # Strips are 128 rows; one tile spans the matrix up to n = 256, and beyond it tiles are 128 columns,
@@ -717,7 +736,7 @@ def test_tiled_products_match_reference_oracles(n):
 
 
 # With strips and tiles 1 to 5 wide, n = 3 .. 25 forms several tiles, most of them ragged, and skips
-# tiles outside the envelopes; gap_kernels below are the cases that need the square zeroed between formed tiles.
+# tiles outside the envelopes; gap_kernels below are the cases that need each strip of the square zeroed.
 @pytest.mark.parametrize("n", (3, 7, 12, 25))
 def test_small_tiles_match_reference_oracles(small_tiles, n):
     for kernel, delta in tiling_cases(n):
@@ -728,9 +747,10 @@ def gap_kernels(rng, count):
     """Kernels 1 / |i - j| ** 2 on n = 5 .. 25 vertices with diagonal 2 and one to three symmetric long-range entries of 1/4, 1/2 or 1.
 
     A far entry makes a row strip of the square form a tile beyond the
-    band, with skipped tiles between.  The square buffer still holds the
-    counts of earlier strips and rounds there, and the cube's tiles read
-    those columns against rows that are nonzero in later tiles.
+    band, with skipped tiles between.  Unless the square's strip is
+    zeroed first, it holds the counts of earlier strips there, and the
+    cube's tiles read those columns against rows that are nonzero in
+    later tiles.
     """
     gaps = np.abs(np.subtract.outer(np.arange(25), np.arange(25)))
     out = []
@@ -770,6 +790,15 @@ def test_tiled_stages_memory_at_600():
     assert traced_peak(quasi_triangle_constant, delta_matrix(kernel, seq)) < 3 * n * n
 
 
+def test_two_weight_chain_rows_memory_at_600():
+    """k = 1, so no pivot runs: the weights are the closure, formed a row block at a time beside no n x n index."""
+    n = 600
+    kernel = random_kernel(np.random.default_rng(300), n)
+    seq = compute_lambda_sequence(kernel)
+    assert seq.k == 1
+    assert traced_peak(_chain_rows, kernel, seq) < 1.5 * n * n
+
+
 def test_verify_metrization_memory_at_600():
     """The quasi-triangle reads its level sets from the kernel, with no n x n index beside its buffers, and the closure comes after it."""
     n = 600
@@ -788,9 +817,23 @@ def test_verify_metrization_constant_over_unreached_and_floor_levels(values, con
 
 
 def test_quasi_triangle_requires_three_vertices():
-    qm = QuasiMetricMatrix(n=2, values=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(DomainError):
+    """n is read from the values: a 2 x 2 table has 2 vertices."""
+    qm = QuasiMetricMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert qm.n == 2
+    with pytest.raises(DomainError, match="need at least 3 vertices, got 2"):
         quasi_triangle_constant(qm)
+
+
+def test_sandwich_and_equivalence_refuse_matrices_of_other_sizes():
+    """A 4 x 4 metric against a 6-vertex kernel, or a 4 x 4 delta against a 6 x 6 d, is refused before any row is read."""
+    kernel = newtonian_kernel(6, 1.0, 2.0)
+    seq = compute_lambda_sequence(kernel)
+    small = newtonian_kernel(4, 1.0, 2.0)
+    small_seq = compute_lambda_sequence(small)
+    with pytest.raises(InvalidParameterError, match="sizes differ: kernel 6, metric 4"):
+        verify_sandwich(kernel, seq, chain_metric(small, small_seq))
+    with pytest.raises(InvalidParameterError, match="sizes differ: delta 4, metric 6"):
+        verify_equivalence(delta_matrix(small, small_seq), chain_metric(kernel, seq))
 
 
 @pytest.mark.parametrize("entry", (-1.0, np.nan, np.inf))
@@ -798,7 +841,7 @@ def test_quasi_triangle_rejects_negative_and_non_finite_entries(entry):
     """The sum bounds that end the products need delta >= 0: a negative, NaN or infinite entry is no quasi-metric."""
     values = np.array([[0.0, 1.0, entry], [1.0, 0.0, 1.0], [entry, 1.0, 0.0]])
     with pytest.raises(DomainError, match="finite and nonnegative"):
-        quasi_triangle_constant(QuasiMetricMatrix(n=3, values=values))
+        quasi_triangle_constant(QuasiMetricMatrix(values=values))
 
 
 def test_verify_metrization_forms_at_most_k_plus_one_products(monkeypatch):
@@ -831,7 +874,7 @@ def test_quasi_triangle_continuous_delta_matches_brute_force_in_linear_memory(sy
     np.fill_diagonal(values, 0.0)
     m = np.unique(values[~np.eye(n, dtype=bool)]).size
     assert m == (n * n - n) // (2 if symmetric else 1)
-    qm = QuasiMetricMatrix(n=n, values=values)
+    qm = QuasiMetricMatrix(values=values)
     if not symmetric:
         with pytest.raises(DomainError, match="symmetric"):
             quasi_triangle_constant(qm)
@@ -856,7 +899,7 @@ def test_two_weight_closure_is_its_weights(case):
     assert seq.k + 1 - index.min() == 1  # top: weights 1 and 2
     assert np.array_equal(chain_metric(kernel, seq).values, scipy_chain_metric(kernel, seq))
     n = kernel.n
-    assert traced_peak(_closure, index, seq.k + 1) < 1.5 * n * n
+    assert traced_peak(_closure, kernel, seq) < 1.5 * n * n
     assert_metrization_matches_public_checks(kernel, seq)
 
 
