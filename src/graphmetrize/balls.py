@@ -29,14 +29,14 @@ class AnnulusBands:
 
     band_of[v] counts the radii at or below the distance of v, so band 0
     is the innermost disk and band len(radii) lies beyond the last
-    radius.  palette[b] is the fill color for band b, cycling when there
-    are more bands than colors.
+    radius.  palette[b], derived, is the fill color for band b, cycling
+    when there are more bands than colors.
     """
 
     center: int
     radii: tuple
     band_of: tuple
-    palette: tuple
+    palette = property(lambda self: tuple(PALETTE[b % len(PALETTE)] for b in range(len(self.radii) + 1)))
 
 
 def _check_center(center: int, n: int) -> int:
@@ -90,12 +90,11 @@ def _checked_radii(radii) -> np.ndarray:
 
 
 def _bands(center: int, radii: np.ndarray, band_of: np.ndarray) -> AnnulusBands:
-    """AnnulusBands over len(radii) + 1 bands, the palette cycling past its last color."""
+    """AnnulusBands over len(radii) + 1 bands."""
     return AnnulusBands(
         center=center,
         radii=tuple(float(x) for x in radii),
         band_of=tuple(int(b) for b in band_of),
-        palette=tuple(PALETTE[b % len(PALETTE)] for b in range(radii.size + 1)),
     )
 
 

@@ -90,26 +90,26 @@ class SandwichReport:
 
     For each interior index n the left check is U(n) inside {d < 2**-n};
     right_shift is the largest j - n such that {d < 2**-n} fits inside
-    U(j), or -2n - 1 when no level set holds it.  tightest_shift is the
-    minimum shift over the levels tested, None when the sequence has a
-    single value and nothing is testable.
+    U(j), or -2n - 1 when no level set holds it.  indices, tightest_shift
+    (the minimum shift over the levels tested, None when the sequence has
+    a single value and nothing is testable) and passed are derived.
     """
 
-    indices: tuple
     left_pass: tuple
     right_shift: tuple
-    tightest_shift: int | None
-    passed: bool
+    indices = property(lambda self: tuple(range(1, len(self.left_pass) + 1)))
+    tightest_shift = property(lambda self: min(self.right_shift, default=None))
+    passed = property(lambda self: all(self.left_pass) and (self.tightest_shift is None or self.tightest_shift >= -1))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Extremes of d / delta over off-diagonal pairs."""
+    """Extremes of d / delta over off-diagonal pairs; passed is derived, and holds with no pairs (NaN extremes) but not for a NaN ratio."""
 
     c_lo: float
     c_hi: float
     pairs: int
-    passed: bool
+    passed = property(lambda self: self.pairs == 0 or (self.c_lo >= EQUIVALENCE_LOWER and self.c_hi <= EQUIVALENCE_UPPER))
 
 
 def compute_lambda_sequence(
@@ -474,16 +474,8 @@ def _sandwich(kernel: AffinityMatrix, seq: LambdaSequence, ball) -> SandwichRepo
             mask = ball(rows, idx)
             left_pass[i] = left_pass[i] and bool((mask | (level <= idx)).all())
             smallest[i] = min(smallest[i], int(level.min(where=mask, initial=k + 1)))
-    right_shift = [(low - 1 if low >= 1 else -idx - 1) - idx for idx, low in zip(indices, smallest)]
-    tightest = min(right_shift) if right_shift else None
-    passed = all(left_pass) and (tightest is None or tightest >= -1)
-    return SandwichReport(
-        indices=indices,
-        left_pass=tuple(left_pass),
-        right_shift=tuple(right_shift),
-        tightest_shift=tightest,
-        passed=passed,
-    )
+    right_shift = tuple((low - 1 if low >= 1 else -idx - 1) - idx for idx, low in zip(indices, smallest))
+    return SandwichReport(left_pass=tuple(left_pass), right_shift=right_shift)
 
 
 def verify_equivalence(
@@ -498,15 +490,14 @@ def verify_equivalence(
 def _equivalence(n: int, ratios) -> EquivalenceReport:
     """The equivalence report from ratios(rows, off), d / delta on a row block wherever off holds."""
     if n < 2:
-        return EquivalenceReport(c_lo=float("nan"), c_hi=float("nan"), pairs=0, passed=True)
+        return EquivalenceReport(c_lo=float("nan"), c_hi=float("nan"), pairs=0)
     c_lo, c_hi = np.inf, -np.inf
     for rows in _row_blocks(n):
         off = np.arange(rows.start, rows.stop)[:, None] != np.arange(n)
         block = ratios(rows, off)
         c_lo = float(np.minimum(c_lo, block.min(where=off, initial=np.inf)))  # np.minimum keeps a NaN
         c_hi = float(np.maximum(c_hi, block.max(where=off, initial=-np.inf)))
-    passed = c_lo >= EQUIVALENCE_LOWER and c_hi <= EQUIVALENCE_UPPER
-    return EquivalenceReport(c_lo=c_lo, c_hi=c_hi, pairs=n * (n - 1), passed=passed)
+    return EquivalenceReport(c_lo=c_lo, c_hi=c_hi, pairs=n * (n - 1))
 
 
 def quasi_triangle_constant(delta: QuasiMetricMatrix) -> float:

@@ -227,21 +227,41 @@ def test_distance_row_matches_the_matrix_row(corpus, t):
             assert np.abs(row - matrix[center]).max() <= 1e-12
 
 
+def two_block_kernel():
+    """Two diagonal blocks of newtonian_kernel(4, 1.0): a null space of dimension 2, so a second eigenvalue of round-off next to the top one."""
+    block = newtonian_kernel(4, 1.0).values
+    values = np.zeros((8, 8))
+    values[:4, :4] = values[4:, 4:] = block
+    return affinity_matrix(values)
+
+
 @seed(24)
 @example(newtonian_kernel(30, 1.0), 1e20)
 @example(newtonian_kernel(2, 1.0), 1e300)
+@example(two_block_kernel(), 1e20)
 @given(st.integers(2, 30).flatmap(metrizable_kernels), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e))
 @settings(max_examples=150, deadline=None)
 def test_diffusion_distances_stay_in_zero_two_at_any_time(kernel, t):
     """For t log-uniform in [1e-3, 1e300] every distance is finite and in [0, 2]: the scaled rows have norm at most 1.
 
-    The examples' kernels have a top eigenvalue of round-off above 0,
-    which overflowed exp before the spectrum was clamped.
+    The first two examples' kernels have a top eigenvalue of round-off
+    above 0, which overflowed exp before the spectrum was clamped; the
+    two-block kernel's second eigenvalue reads +1.5e-16 on one LAPACK
+    build, and only the clamp below the top keeps it finite.
     """
     decomp = spectral_decomposition(kernel)
     for distances in (diffusion_distance_matrix(decomp, t), _diffusion_distance_row(decomp, t, kernel.n // 2)):
         assert np.isfinite(distances).all()
         assert distances.min() >= 0.0 and distances.max() <= 2.0
+
+
+def test_diffusion_clamps_a_positive_eigenvalue_below_the_top():
+    """A hand-made spectrum [-1, 1e-16, 0] over an orthonormal basis: at t = 1e20 the round-off 1e-16 reads as 0, whatever LAPACK's sign."""
+    basis, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    decomp = SpectralDecomposition(eigenvalues=np.array([-1.0, 1e-16, 0.0]), eigenvectors=basis)
+    distances = diffusion_distance_matrix(decomp, 1e20)
+    assert np.isfinite(distances).all()
+    assert np.abs(distances - tensor_diffusion_distances(decomp, 1e20)).max() <= 1e-12
 
 
 def test_diffusion_distance_memory_is_quadratic():

@@ -407,7 +407,8 @@ def sandwich_cases(draw):
 def test_sandwich_matches_reference_scan(case):
     kernel, seq, metric = case
     report = verify_sandwich(kernel, seq, metric)
-    assert dataclasses.asdict(report) == reference_sandwich(kernel, seq, metric)
+    expected = reference_sandwich(kernel, seq, metric)
+    assert {key: getattr(report, key) for key in expected} == expected
 
 
 @seed(6)
@@ -499,7 +500,7 @@ def test_sandwich_matches_reference_scan_on_corpus(corpus_pipeline):
         for s, metric in itertools.product(sequences, (pm, shrunk)):
             report = verify_sandwich(kernel, s, metric)
             expected = reference_sandwich(kernel, s, metric)
-            assert dataclasses.asdict(report) == expected
+            assert {key: getattr(report, key) for key in expected} == expected
             outcomes.add(report.passed)
             outcomes.update(
                 "none holds" for idx, shift in zip(report.indices, report.right_shift) if shift == -2 * idx - 1
@@ -540,12 +541,23 @@ def equivalence_cases(draw):
     return delta, metric
 
 
+def lower_edge_case(ratio):
+    """A 3-vertex delta, and d equal to it but for d(0, 2) = ratio against delta(0, 2) = 1: c_lo is ratio, the other ratios 1."""
+    delta = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.25], [1.0, 0.25, 0.0]])
+    d = delta.copy()
+    d[0, 2] = d[2, 0] = ratio
+    return QuasiMetricMatrix(values=delta), PseudoMetricMatrix(values=d)
+
+
 @seed(7)
 @given(equivalence_cases())
+@example(lower_edge_case(0.125))  # exactly 1/8, the band's lower edge: passed
+@example(lower_edge_case(np.nextafter(0.125, 0.0)))  # one ulp below: not passed
 @settings(max_examples=300, deadline=None)
 def test_equivalence_matches_brute_force_ratios(case):
     delta, metric = case
-    assert dataclasses.asdict(verify_equivalence(delta, metric)) == brute_equivalence(delta, metric)
+    report, expected = verify_equivalence(delta, metric), brute_equivalence(delta, metric)
+    assert {key: getattr(report, key) for key in expected} == expected
 
 
 def test_equivalence_fails_on_a_nan_ratio():
@@ -765,9 +777,27 @@ def gap_kernels(rng, count):
     return out
 
 
+def stale_count_kernel():
+    """n = 9: 0.5 everywhere, a diagonal of 2, 1 on the path i ~ i + 1 and on 0 ~ 7, and K[2, 6] = 0.01.
+
+    The sweep seeds at 1.0.  With one-wide tiles, row 0 of the square
+    counts the path 0 -> 7 -> 6 in column 6, which rows 1 and 2 form no
+    tile over; 7 ~ 0 stretches row 2's formed columns from 0 to 7, so its
+    cube reads column 6 and joins 2 to 6 unless each strip is zeroed
+    (no path of three steps does).
+    """
+    values = np.full((9, 9), 0.5)
+    np.fill_diagonal(values, 2.0)
+    i = np.arange(8)
+    values[i, i + 1] = values[i + 1, i] = 1.0
+    values[0, 7] = values[7, 0] = 1.0
+    values[2, 6] = values[6, 2] = 0.01
+    return affinity_matrix(values)
+
+
 def test_small_tiles_sweep_clears_the_square_between_formed_tiles(small_tiles):
     """The sweep steps as the untiled reference does on kernels whose row strips skip tiles between formed ones."""
-    for kernel in gap_kernels(np.random.default_rng(5), 300):
+    for kernel in [*gap_kernels(np.random.default_rng(5), 300), stale_count_kernel()]:
         seq = compute_lambda_sequence(kernel)
         assert [reference_sweep_step(kernel, t) for t in seq.values[1:]] == seq.values[:-1].tolist()
 
